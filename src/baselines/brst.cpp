@@ -14,15 +14,14 @@ void BrstLite::SaveState(std::ostream& out) const {
   state_io::BeginState(out, "brst-lite", 1);
   state_io::WriteMatrixList(out, factors_);
   state_io::WriteVector(out, ard_precision_);
-  out << noise_var_ << '\n';
+  state_io::WriteDouble(out, noise_var_);
 }
 
 void BrstLite::RestoreState(std::istream& in) {
   state_io::ReadStateHeader(in, "brst-lite", 1);
   factors_ = state_io::ReadMatrixList(in);
   ard_precision_ = state_io::ReadVector(in);
-  state_io::Require(static_cast<bool>(in >> noise_var_),
-                    "corrupt brst-lite checkpoint");
+  noise_var_ = state_io::ReadDouble(in);
 }
 
 StepResult BrstLite::StepLazy(const DenseTensor& y, const Mask& omega,

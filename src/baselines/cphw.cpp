@@ -8,17 +8,14 @@ namespace sofia {
 
 void Cphw::SaveState(std::ostream& out) const {
   state_io::BeginState(out, "cphw", 1);
-  out << history_.size() << '\n';
+  state_io::WriteU64(out, history_.size());
   for (const auto& slice : history_) state_io::WriteTensor(out, *slice);
   for (const Mask& mask : mask_history_) state_io::WriteMask(out, mask);
 }
 
 void Cphw::RestoreState(std::istream& in) {
   state_io::ReadStateHeader(in, "cphw", 1);
-  size_t steps = 0;
-  state_io::Require(static_cast<bool>(in >> steps) &&
-                        steps <= (size_t{1} << 20),
-                    "corrupt cphw checkpoint");
+  const size_t steps = state_io::ReadCount(in, size_t{1} << 20);
   history_.clear();
   history_.reserve(steps);
   for (size_t t = 0; t < steps; ++t) {

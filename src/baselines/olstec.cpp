@@ -12,16 +12,14 @@ namespace sofia {
 void Olstec::SaveState(std::ostream& out) const {
   state_io::BeginState(out, "olstec", 1);
   state_io::WriteMatrixList(out, factors_);
-  out << cov_.size() << '\n';
+  state_io::WriteU64(out, cov_.size());
   for (const auto& mode_cov : cov_) state_io::WriteMatrixList(out, mode_cov);
 }
 
 void Olstec::RestoreState(std::istream& in) {
   state_io::ReadStateHeader(in, "olstec", 1);
   factors_ = state_io::ReadMatrixList(in);
-  size_t modes = 0;
-  state_io::Require(static_cast<bool>(in >> modes) && modes <= 16,
-                    "corrupt olstec checkpoint");
+  const size_t modes = state_io::ReadCount(in, /*cap=*/16);
   cov_.clear();
   cov_.reserve(modes);
   for (size_t n = 0; n < modes; ++n) {

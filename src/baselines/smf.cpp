@@ -13,35 +13,32 @@ namespace sofia {
 void Smf::SaveState(std::ostream& out) const {
   state_io::BeginState(out, "smf", 1);
   state_io::WriteShape(out, slice_shape_);
-  out << (loadings_ != nullptr ? 1 : 0) << '\n';
+  state_io::WriteBool(out, loadings_ != nullptr);
   if (loadings_ != nullptr) state_io::WriteMatrix(out, *loadings_);
   state_io::WriteVector(out, level_);
   state_io::WriteVector(out, trend_);
-  out << season_.size() << ' ' << season_pos_ << ' ' << steps_seen_ << '\n';
+  state_io::WriteU64(out, season_.size());
+  state_io::WriteU64(out, season_pos_);
+  state_io::WriteU64(out, steps_seen_);
   for (const auto& s : season_) state_io::WriteVector(out, s);
 }
 
 void Smf::RestoreState(std::istream& in) {
   state_io::ReadStateHeader(in, "smf", 1);
   slice_shape_ = state_io::ReadShape(in);
-  int has_loadings = 0;
-  state_io::Require(static_cast<bool>(in >> has_loadings),
-                    "corrupt smf checkpoint");
   // A fresh shared_ptr (never reusing the old allocation) keeps any live
   // StepLazy/ForecastLazy handles pointing at their snapshot.
-  loadings_ = has_loadings != 0
+  loadings_ = state_io::ReadBool(in)
                   ? std::make_shared<Matrix>(state_io::ReadMatrix(in))
                   : nullptr;
   level_ = state_io::ReadVector(in);
   trend_ = state_io::ReadVector(in);
-  size_t seasons = 0;
-  state_io::Require(
-      static_cast<bool>(in >> seasons >> season_pos_ >> steps_seen_),
-      "corrupt smf checkpoint");
   // Cap before resize: a bit-flipped count must read as corruption, not an
   // allocation. season_pos_ indexes season_, so it must stay in range too.
-  state_io::Require(seasons <= (size_t{1} << 20) &&
-                        (seasons == 0 || season_pos_ < seasons),
+  const size_t seasons = state_io::ReadCount(in, size_t{1} << 20);
+  season_pos_ = state_io::ReadU64(in);
+  steps_seen_ = state_io::ReadU64(in);
+  state_io::Require(seasons == 0 || season_pos_ < seasons,
                     "corrupt smf checkpoint");
   season_.resize(seasons);
   for (auto& s : season_) s = state_io::ReadVector(in);

@@ -175,8 +175,9 @@ class SofiaModel {
   }
 
   /// Checkpoints the full streaming state (config, factors, HW components,
-  /// temporal-row history, error-scale tensor) to a text stream. Restoring
-  /// with Deserialize() resumes Step()/Forecast() bit-for-bit.
+  /// temporal-row history, error-scale tensor) in the binary util/state_io
+  /// format. Restoring with Deserialize() resumes Step()/Forecast()
+  /// bit-for-bit.
   void Serialize(std::ostream& out) const;
   static SofiaModel Deserialize(std::istream& in);
 

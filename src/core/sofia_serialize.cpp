@@ -1,128 +1,114 @@
 #include <istream>
 #include <ostream>
-#include <string>
 
 #include "core/sofia_model.hpp"
-#include "util/check.hpp"
 #include "util/state_io.hpp"
 
 /// \file sofia_serialize.cpp
-/// \brief Text checkpointing of SofiaModel (Serialize / Deserialize).
+/// \brief Binary checkpointing of SofiaModel (Serialize / Deserialize).
 ///
-/// Format: a "sofia-model v2" header followed by whitespace-separated
-/// fields in a fixed order (v2 appends the kernel-path knobs to the config
-/// block; v1 checkpoints still load, with the current defaults for those
-/// knobs). Doubles round-trip via max_digits10 so the restored model
-/// continues the stream bit-for-bit. The field primitives live in
-/// util/state_io and are shared with every StreamingMethod::SaveState
-/// implementation.
+/// Format: a "sofia-model" v1 header followed by the fields in a fixed
+/// order, each written through the util/state_io primitives (the one byte
+/// format shared with every StreamingMethod::SaveState). Doubles are raw
+/// IEEE-754, so the restored model continues the stream bit-for-bit. The
+/// dense error scale Σ̂ makes the state O(slice volume), unlike the
+/// factor-only baselines. Checkpoints written before the binary format
+/// (text "sofia-model v1/v2") fail the header check with StateError.
 
 namespace sofia {
 
 void SofiaModel::Serialize(std::ostream& out) const {
-  state_io::BeginState(out, "sofia-model", 2);
-  out << config_.rank << ' ' << config_.period << ' '
-      << config_.init_seasons << ' ' << config_.lambda1 << ' '
-      << config_.lambda2 << ' ' << config_.lambda3 << ' ' << config_.mu
-      << ' ' << config_.phi << ' ' << config_.factor_ridge << ' '
-      << (config_.normalized_step ? 1 : 0) << ' ' << config_.huber_k << ' '
-      << config_.biweight_ck << '\n';
-  // Kernel-path knobs (v2): Step's summation order differs between the
-  // dense and sparse paths at the ulp level, so the selected path must
-  // round-trip for Deserialize() to resume the stream bit-for-bit.
-  // num_threads stays runtime-only — results are bitwise identical for
-  // every thread count, and the right worker count is a property of the
-  // restoring machine, not the checkpoint.
-  out << (config_.use_sparse_kernels ? 1 : 0) << ' '
-      << (config_.reuse_step_pattern ? 1 : 0) << '\n';
-  out << (ablation_.reject_outliers ? 1 : 0) << ' '
-      << (ablation_.scale_before_reject ? 1 : 0) << ' '
-      << (ablation_.temporal_smoothness ? 1 : 0) << '\n';
+  state_io::BeginState(out, "sofia-model", 1);
+  state_io::WriteU64(out, config_.rank);
+  state_io::WriteU64(out, config_.period);
+  state_io::WriteU64(out, config_.init_seasons);
+  for (const double x : {config_.lambda1, config_.lambda2, config_.lambda3,
+                         config_.mu, config_.phi, config_.factor_ridge}) {
+    state_io::WriteDouble(out, x);
+  }
+  state_io::WriteBool(out, config_.normalized_step);
+  state_io::WriteDouble(out, config_.huber_k);
+  state_io::WriteDouble(out, config_.biweight_ck);
+  // Kernel-path knobs: Step's summation order differs between the dense
+  // and sparse paths at the ulp level, so the selected path must round-trip
+  // for Deserialize() to resume the stream bit-for-bit. num_threads stays
+  // runtime-only — results are bitwise identical for every thread count,
+  // and the right worker count is a property of the restoring machine, not
+  // the checkpoint.
+  state_io::WriteBool(out, config_.use_sparse_kernels);
+  state_io::WriteBool(out, config_.reuse_step_pattern);
+  state_io::WriteBool(out, ablation_.reject_outliers);
+  state_io::WriteBool(out, ablation_.scale_before_reject);
+  state_io::WriteBool(out, ablation_.temporal_smoothness);
 
-  out << factors_.size() << '\n';
-  for (const Matrix& f : factors_) state_io::WriteMatrix(out, f);
-
-  out << hw_params_.size() << '\n';
+  state_io::WriteMatrixList(out, factors_);
+  state_io::WriteU64(out, hw_params_.size());
   for (const HwParams& p : hw_params_) {
-    out << p.alpha << ' ' << p.beta << ' ' << p.gamma << '\n';
+    state_io::WriteDouble(out, p.alpha);
+    state_io::WriteDouble(out, p.beta);
+    state_io::WriteDouble(out, p.gamma);
   }
   state_io::WriteVector(out, level_);
   state_io::WriteVector(out, trend_);
-  out << season_.size() << ' ' << season_pos_ << '\n';
+  state_io::WriteU64(out, season_.size());
+  state_io::WriteU64(out, season_pos_);
   for (const auto& s : season_) state_io::WriteVector(out, s);
-  out << row_history_.size() << ' ' << row_pos_ << '\n';
+  state_io::WriteU64(out, row_history_.size());
+  state_io::WriteU64(out, row_pos_);
   for (const auto& r : row_history_) state_io::WriteVector(out, r);
   state_io::WriteVector(out, last_row_);
   state_io::WriteTensor(out, sigma_);
 }
 
 SofiaModel SofiaModel::Deserialize(std::istream& in) {
-  const int version = state_io::ReadStateHeader(in, "sofia-model", 2);
+  state_io::ReadStateHeader(in, "sofia-model", 1);
+
+  SofiaModel model;
+  SofiaConfig& config = model.config_;
+  config.rank = state_io::ReadU64(in);
+  config.period = state_io::ReadU64(in);
+  config.init_seasons = state_io::ReadU64(in);
+  for (double* x : {&config.lambda1, &config.lambda2, &config.lambda3,
+                    &config.mu, &config.phi, &config.factor_ridge}) {
+    *x = state_io::ReadDouble(in);
+  }
+  config.normalized_step = state_io::ReadBool(in);
+  config.huber_k = state_io::ReadDouble(in);
+  config.biweight_ck = state_io::ReadDouble(in);
+  config.use_sparse_kernels = state_io::ReadBool(in);
+  config.reuse_step_pattern = state_io::ReadBool(in);
+  model.ablation_.reject_outliers = state_io::ReadBool(in);
+  model.ablation_.scale_before_reject = state_io::ReadBool(in);
+  model.ablation_.temporal_smoothness = state_io::ReadBool(in);
 
   const char* what = "corrupt sofia-model checkpoint";
-  SofiaModel model;
-  int normalized = 0;
-  state_io::Require(
-      static_cast<bool>(
-          in >> model.config_.rank >> model.config_.period >>
-          model.config_.init_seasons >> model.config_.lambda1 >>
-          model.config_.lambda2 >> model.config_.lambda3 >>
-          model.config_.mu >> model.config_.phi >>
-          model.config_.factor_ridge >> normalized >>
-          model.config_.huber_k >> model.config_.biweight_ck),
-      what);
-  model.config_.normalized_step = normalized != 0;
-  if (version >= 2) {
-    int sparse = 1, reuse = 1;
-    state_io::Require(static_cast<bool>(in >> sparse >> reuse), what);
-    model.config_.use_sparse_kernels = sparse != 0;
-    model.config_.reuse_step_pattern = reuse != 0;
-  }  // v1 checkpoints keep the SofiaConfig defaults for the kernel knobs.
-  int reject = 1, scale_first = 0, smooth = 1;
-  state_io::Require(static_cast<bool>(in >> reject >> scale_first >> smooth),
-                    what);
-  model.ablation_.reject_outliers = reject != 0;
-  model.ablation_.scale_before_reject = scale_first != 0;
-  model.ablation_.temporal_smoothness = smooth != 0;
-
-  size_t num_factors = 0;
-  state_io::Require(
-      static_cast<bool>(in >> num_factors) && num_factors <= 16, what);
-  for (size_t n = 0; n < num_factors; ++n) {
-    model.factors_.push_back(state_io::ReadMatrix(in));
-  }
-
-  size_t num_params = 0;
-  state_io::Require(static_cast<bool>(in >> num_params) &&
-                        num_params <= state_io::kMaxStateElements,
-                    what);
-  model.hw_params_.resize(num_params);
+  model.factors_ = state_io::ReadMatrixList(in);
+  state_io::Require(model.factors_.size() <= 16, what);
+  // One HwParams per rank column; the cap matches ReadMatrixList's.
+  model.hw_params_.resize(state_io::ReadCount(in, /*cap=*/4096));
   for (HwParams& p : model.hw_params_) {
-    state_io::Require(static_cast<bool>(in >> p.alpha >> p.beta >> p.gamma),
-                      what);
+    p.alpha = state_io::ReadDouble(in);
+    p.beta = state_io::ReadDouble(in);
+    p.gamma = state_io::ReadDouble(in);
   }
   model.level_ = state_io::ReadVector(in);
   model.trend_ = state_io::ReadVector(in);
-  size_t seasons = 0;
-  state_io::Require(static_cast<bool>(in >> seasons >> model.season_pos_) &&
-                        seasons <= (size_t{1} << 20),
-                    what);
+  const size_t seasons = state_io::ReadCount(in, size_t{1} << 20);
+  model.season_pos_ = state_io::ReadU64(in);
   model.season_.resize(seasons);
   for (auto& s : model.season_) s = state_io::ReadVector(in);
-  size_t history = 0;
-  state_io::Require(static_cast<bool>(in >> history >> model.row_pos_) &&
-                        history <= (size_t{1} << 20),
-                    what);
+  const size_t history = state_io::ReadCount(in, size_t{1} << 20);
+  model.row_pos_ = state_io::ReadU64(in);
   model.row_history_.resize(history);
   for (auto& r : model.row_history_) r = state_io::ReadVector(in);
   model.last_row_ = state_io::ReadVector(in);
   model.sigma_ = state_io::ReadTensor(in);
 
   // Cross-field consistency: a parseable checkpoint whose structures
-  // disagree is still corrupt (single flipped digit in a count).
-  state_io::Require(model.season_.size() == model.config_.period, what);
-  state_io::Require(model.row_history_.size() == model.config_.period, what);
-  state_io::Require(model.level_.size() == model.config_.rank, what);
+  // disagree is still corrupt (a single flipped bit in a count).
+  state_io::Require(model.season_.size() == config.period, what);
+  state_io::Require(model.row_history_.size() == config.period, what);
+  state_io::Require(model.level_.size() == config.rank, what);
   state_io::Require(seasons == 0 || model.season_pos_ < seasons, what);
   state_io::Require(history == 0 || model.row_pos_ < history, what);
   return model;

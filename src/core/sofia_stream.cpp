@@ -48,16 +48,13 @@ void SofiaStream::AdoptWorkerPool(std::shared_ptr<WorkerPool> pool) {
 
 void SofiaStream::SaveState(std::ostream& out) const {
   state_io::BeginState(out, "sofia-stream", 1);
-  out << (model_ != nullptr ? 1 : 0) << '\n';
+  state_io::WriteBool(out, model_ != nullptr);
   if (model_ != nullptr) model_->Serialize(out);
 }
 
 void SofiaStream::RestoreState(std::istream& in) {
   state_io::ReadStateHeader(in, "sofia-stream", 1);
-  int has_model = 0;
-  state_io::Require(static_cast<bool>(in >> has_model),
-                    "corrupt sofia-stream checkpoint");
-  if (has_model == 0) {
+  if (!state_io::ReadBool(in)) {
     model_.reset();
     return;
   }

@@ -41,6 +41,10 @@ void PutU64(std::string* out, uint64_t v) {
   out->append(b, 8);
 }
 
+void StoreU32(char* p, uint32_t v) { std::memcpy(p, &v, 4); }
+
+void StoreU64(char* p, uint64_t v) { std::memcpy(p, &v, 8); }
+
 uint32_t GetU32(const char* p) {
   uint32_t v;
   std::memcpy(&v, p, 4);
@@ -95,21 +99,26 @@ void EncodeRecord(uint64_t step, const DenseTensor& slice, const Mask& mask,
                   std::string* out) {
   SOFIA_CHECK(slice.shape() == mask.shape())
       << "slice/mask shape mismatch in journal encode";
-  out->clear();
-  const std::vector<size_t> observed = mask.ObservedIndices();
-  PutU32(out, kRecordMagic);
-  PutU32(out, 0);  // pad
-  PutU64(out, step);
-  PutU64(out, observed.size());
-  for (const size_t idx : observed) {
-    PutU64(out, static_cast<uint64_t>(idx));
-    const double v = slice[idx];
-    char b[8];
-    std::memcpy(b, &v, 8);
-    out->append(b, 8);
+  // Size the record once and store in place. `out` keeps its previous
+  // size, so a record no larger than the last one resizes without a fill.
+  const size_t nnz = mask.CountObserved();
+  const size_t body = kRecordPrefixBytes + 16 * nnz;
+  out->resize(body + kRecordSuffixBytes);
+  char* p = &(*out)[0];
+  StoreU32(p, kRecordMagic);
+  StoreU32(p + 4, 0);  // pad
+  StoreU64(p + 8, step);
+  StoreU64(p + 16, nnz);
+  char* entry = p + kRecordPrefixBytes;
+  const size_t volume = mask.shape().NumElements();
+  for (size_t idx = 0; idx < volume; ++idx) {
+    if (!mask.Get(idx)) continue;
+    StoreU64(entry, static_cast<uint64_t>(idx));
+    std::memcpy(entry + 8, slice.data() + idx, 8);
+    entry += 16;
   }
-  PutU32(out, durable::Crc32(out->data(), out->size()));
-  PutU32(out, 0);  // pad (keeps the next record 8-byte aligned)
+  StoreU32(p + body, durable::Crc32(p, body));
+  StoreU32(p + body + 4, 0);  // pad (keeps the next record 8-byte aligned)
 }
 
 SliceFileWriter::~SliceFileWriter() { Close(); }

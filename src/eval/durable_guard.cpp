@@ -114,6 +114,17 @@ void DurableGuard::SubmitIo(std::function<void()> job) {
   });
 }
 
+void DurableGuard::SubmitIoBytes(
+    const std::string& bytes, std::function<void(const std::string&)> write) {
+  if (executor_ == nullptr) {
+    write(bytes);  // Inline: read the reused buffer in place.
+    return;
+  }
+  // The next step may refill the buffer before an aux job runs, so the job
+  // owns a copy.
+  SubmitIo([write = std::move(write), bytes] { write(bytes); });
+}
+
 void DurableGuard::MarkJournalLost() {
   std::lock_guard<std::mutex> lock(io_mutex_);
   journal_lost_ = true;
@@ -174,12 +185,15 @@ void DurableGuard::PruneSegmentsLocked() {
 void DurableGuard::TakeSnapshot() {
   // Serialize synchronously — the bytes must capture the state *now*,
   // before the next step mutates it. The disk write rides the aux lane.
-  std::ostringstream out;
-  out << step_ << '\n';
-  inner_->SaveState(out);
-  std::string payload = out.str();
+  snapshot_buf_.clear();
+  {
+    state_io::StringSink sink(&snapshot_buf_);
+    std::ostream out(&sink);
+    state_io::WriteU64(out, step_);
+    inner_->SaveState(out);
+  }
   const uint64_t seq = next_seq_++;
-  SubmitIo([this, seq, payload = std::move(payload)] {
+  SubmitIoBytes(snapshot_buf_, [this, seq](const std::string& payload) {
     // Group-commit point: everything journaled so far becomes durable
     // before the snapshot that supersedes it lands.
     if (journal_.is_open()) journal_.Sync();
@@ -236,7 +250,7 @@ void DurableGuard::JournalSlice(const DenseTensor& decoded,
     Dm().async_appends->Add(1);
   }
   const bool sync_each = options_.sync_each_append;
-  SubmitIo([this, bytes = encode_buf_, sync_each] {
+  SubmitIoBytes(encode_buf_, [this, sync_each](const std::string& bytes) {
     if (!journal_.is_open() || !journal_.AppendEncoded(bytes)) {
       MarkJournalLost();
       return;
@@ -338,11 +352,8 @@ RecoveryReport DurableGuard::Recover() {
     }
     std::istringstream in(payload);
     uint64_t saved_step = 0;
-    if (!(in >> saved_step)) {
-      ++report.skipped_generations;
-      continue;
-    }
     try {
+      saved_step = state_io::ReadU64(in);
       inner_->RestoreState(in);
     } catch (const state_io::StateError&) {
       // CRC-valid frame, corrupt state (e.g. flipped bit pre-framing):

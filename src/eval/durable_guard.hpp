@@ -150,6 +150,10 @@ class DurableGuard : public StreamingMethod {
   /// Runs `job` on the aux lane when an executor is adopted, else inline.
   /// Aux exceptions are captured into pending_crash_.
   void SubmitIo(std::function<void()> job);
+  /// Runs `write(bytes)` through SubmitIo without copying `bytes` when IO
+  /// is inline; an aux-lane job gets its own copy.
+  void SubmitIoBytes(const std::string& bytes,
+                     std::function<void(const std::string&)> write);
   /// Serializes inner state (+ step counter) and writes snapshot `seq`,
   /// then rotates the journal to segment `seq`. Serialization is
   /// synchronous (the state must be captured before the next mutation);
@@ -188,7 +192,8 @@ class DurableGuard : public StreamingMethod {
   std::mutex crash_mutex_;             ///< Guards pending_crash_.
   std::exception_ptr pending_crash_;   ///< Captured aux-lane crash.
 
-  std::string encode_buf_;  ///< Reused EncodeRecord scratch.
+  std::string encode_buf_;    ///< Reused EncodeRecord scratch.
+  std::string snapshot_buf_;  ///< Reused TakeSnapshot payload.
 };
 
 }  // namespace sofia

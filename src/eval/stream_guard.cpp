@@ -9,6 +9,7 @@
 #include "obs/obs.hpp"
 #include "tensor/coo_list.hpp"
 #include "util/check.hpp"
+#include "util/state_io.hpp"
 
 namespace sofia {
 
@@ -49,31 +50,6 @@ GuardMetrics& Gm() {
   return m;
 }
 
-/// streambuf that appends straight into a caller-owned string. Checkpoint
-/// slots pass their ring string here so a save serializes in place and
-/// reuses the slot's capacity — the previous ostringstream + `out.str()`
-/// deep copy allocated twice per accepted step and dominated guarded wall
-/// time for O(state)-heavy methods.
-class StringSink : public std::streambuf {
- public:
-  explicit StringSink(std::string* out) : out_(out) {}
-
- protected:
-  int_type overflow(int_type ch) override {
-    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
-      out_->push_back(traits_type::to_char_type(ch));
-    }
-    return traits_type::not_eof(ch);
-  }
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    out_->append(s, static_cast<size_t>(n));
-    return n;
-  }
-
- private:
-  std::string* out_;
-};
-
 /// Serializes `method` state into `slot`, reusing its capacity. Runs on
 /// the caller thread or the executor's aux lane — the timing lands in the
 /// same histogram either way, so checkpoint cost is visible even when it
@@ -82,7 +58,7 @@ void SerializeInto(const StreamingMethod& method, std::string* slot) {
   const bool measured = obs::Enabled() || obs::TraceActive();
   const uint64_t start = measured ? obs::NowNs() : 0;
   slot->clear();
-  StringSink sink(slot);
+  state_io::StringSink sink(slot);
   std::ostream out(&sink);
   method.SaveState(out);
   if (measured) {

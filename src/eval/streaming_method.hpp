@@ -84,8 +84,9 @@ class StreamingMethod {
   /// explicitly (StreamGuard's rollback/reinit policies require it).
   virtual bool SupportsStateCheckpoint() const { return false; }
 
-  /// Serializes the method's complete mutable state as text (util/state_io
-  /// primitives; doubles via max_digits10). A later RestoreState on the
+  /// Serializes the method's complete mutable state in the binary
+  /// util/state_io format (doubles as raw IEEE-754 bytes, so saving is
+  /// close to a memcpy of the state). A later RestoreState on the
   /// *same configuration* must continue the stream bit-for-bit — this is
   /// the contract StreamGuard's rollback policy is built on. Configuration
   /// (rank, period, solver options) is NOT part of the state; a checkpoint

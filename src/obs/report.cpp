@@ -29,7 +29,8 @@ bool HasPrefixSuffix(const std::string& name) {
 }
 
 // Counters are integers; render them as such (Table::Num's significant-
-// digit formatting would turn 690270 into 6.903e+05).
+// digit formatting would turn 690270 into 6.903e+05). Times, percentages
+// and percentiles use Table::Fixed for the same reason.
 std::string Int(double value) {
   return std::to_string(static_cast<long long>(std::llround(value)));
 }
@@ -69,16 +70,16 @@ std::string RenderReport(const JsonValue& snapshot) {
   out << "Per-stage time attribution (time.*_us counters)\n";
   Table stages({"stage", "ms", "% of pipeline wall"});
   for (const AttributionRow& row : attribution.rows) {
-    stages.AddRow({row.stage, Table::Num(row.us / 1000.0, 2),
+    stages.AddRow({row.stage, Table::Fixed(row.us / 1000.0, 2),
                    attribution.wall_us > 0.0
-                       ? Table::Num(100.0 * row.fraction, 1)
+                       ? Table::Fixed(100.0 * row.fraction, 1)
                        : "-"});
   }
   if (attribution.wall_us > 0.0) {
-    stages.AddRow({"(pipeline wall)", Table::Num(attribution.wall_us / 1000.0, 2),
-                   "100.0"});
+    stages.AddRow({"(pipeline wall)",
+                   Table::Fixed(attribution.wall_us / 1000.0, 2), "100.0"});
     stages.AddRow({"(driver stages / wall)", "",
-                   Table::Num(100.0 * attribution.driver_coverage, 1)});
+                   Table::Fixed(100.0 * attribution.driver_coverage, 1)});
   }
   out << stages.ToString() << "\n";
 
@@ -90,9 +91,9 @@ std::string RenderReport(const JsonValue& snapshot) {
     for (const auto& [name, h] : histograms->object) {
       table.AddRow({name,
                     Int(h.NumberOr("count", 0.0)),
-                    Table::Num(h.NumberOr("p50", 0.0), 1),
-                    Table::Num(h.NumberOr("p90", 0.0), 1),
-                    Table::Num(h.NumberOr("p99", 0.0), 1)});
+                    Table::Fixed(h.NumberOr("p50", 0.0), 1),
+                    Table::Fixed(h.NumberOr("p90", 0.0), 1),
+                    Table::Fixed(h.NumberOr("p99", 0.0), 1)});
     }
     out << table.ToString() << "\n";
   }

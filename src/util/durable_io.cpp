@@ -21,21 +21,32 @@ namespace durable {
 
 namespace {
 
-/// Reflected CRC-32 table (polynomial 0xEDB88320), built once.
-const uint32_t* CrcTable() {
-  static uint32_t table[256];
-  static const bool built = [] {
+/// Reflected CRC-32 tables (polynomial 0xEDB88320) for slicing-by-8,
+/// built once: t[0] is the classic byte table, and t[k][b] is the CRC of
+/// byte b followed by k zero bytes.
+struct CrcTables {
+  uint32_t t[8][256];
+};
+
+const CrcTables& Tables() {
+  static const CrcTables tables = [] {
+    CrcTables c{};
     for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
+      uint32_t v = i;
       for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+        v = (v & 1u) ? 0xEDB88320u ^ (v >> 1) : v >> 1;
       }
-      table[i] = c;
+      c.t[0][i] = v;
     }
-    return true;
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        const uint32_t prev = c.t[k - 1][i];
+        c.t[k][i] = (prev >> 8) ^ c.t[0][prev & 0xFFu];
+      }
+    }
+    return c;
   }();
-  (void)built;
-  return table;
+  return tables;
 }
 
 /// Frame header preceding every atomic payload. Fixed-width little-endian
@@ -191,11 +202,24 @@ bool WriteAttempt(const std::string& path, const std::string& frame) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  const uint32_t* table = CrcTable();
+  static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+                "the eight-byte fold loads words little-endian");
+  const auto& t = Tables().t;
   const unsigned char* p = static_cast<const unsigned char*>(data);
   uint32_t crc = ~seed;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  // Slicing-by-8: fold eight bytes per round through the eight tables
+  // (the same CRC as the byte loop below, about 4x faster).
+  for (; size >= 8; p += 8, size -= 8) {
+    uint32_t lo = 0, hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= crc;
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }

@@ -68,4 +68,10 @@ std::string Table::Num(double v, int digits) {
   return buf;
 }
 
+std::string Table::Fixed(double v, int decimals) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+  return buf;
+}
+
 }  // namespace sofia

@@ -32,6 +32,8 @@ class Table {
 
   /// Format a double with `digits` significant digits (helper for rows).
   static std::string Num(double v, int digits = 4);
+  /// Format a double with `decimals` digits after the point ("94.0").
+  static std::string Fixed(double v, int decimals);
 
  private:
   std::vector<std::string> header_;

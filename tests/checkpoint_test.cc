@@ -4,12 +4,16 @@
 //    contract StreamGuard's rollback policy is built on;
 //  - re-serializing the restored state reproduces the checkpoint bytes
 //    (bitwise-identical factors);
+//  - re-saving a restored method reproduces the original's bytes at every
+//    point of a stream, and pre-binary text checkpoints are rejected with
+//    StateError;
 //  - StreamGuard's checkpoint ring wraps past its slot count, and a
 //    rollback restores exactly the newest pre-fault state (pinned by
 //    comparing against a twin that never saw the poisoned slice).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <sstream>
@@ -135,6 +139,102 @@ TEST(CheckpointTest, RoundTripContinuesBitwiseForAllNineMethods) {
   }
 }
 
+std::string SaveBytes(const StreamingMethod& method) {
+  std::ostringstream out;
+  method.SaveState(out);
+  return out.str();
+}
+
+/// Restores `bytes` into `method`, then returns its re-saved bytes.
+std::string RestoreAndResave(StreamingMethod* method,
+                             const std::string& bytes) {
+  std::istringstream in(bytes);
+  method->RestoreState(in);
+  return SaveBytes(*method);
+}
+
+TEST(CheckpointTest, ResavedBytesAreByteIdenticalForAllNineMethods) {
+  // Save → Restore → Save must reproduce the bytes exactly, before any
+  // data, mid-stream, and after the restored copy has stepped on: the
+  // recovery check of the stream benchmark compares a recovered stack's
+  // bytes with the live one's.
+  const size_t steps = 24;
+  std::vector<DenseTensor> truth = MakeTruth(steps, 181);
+  CorruptedStream stream = Corrupt(truth, {20.0, 5.0, 2.0}, 182);
+
+  std::vector<std::unique_ptr<StreamingMethod>> originals = MakeAllMethods();
+  std::vector<std::unique_ptr<StreamingMethod>> copies = MakeAllMethods();
+  for (size_t m = 0; m < originals.size(); ++m) {
+    StreamingMethod* a = originals[m].get();
+    StreamingMethod* b = copies[m].get();
+    SCOPED_TRACE(a->name());
+
+    const std::string fresh = SaveBytes(*a);
+    EXPECT_EQ(RestoreAndResave(b, fresh), fresh);
+
+    const size_t w = a->init_window();
+    if (w > 0) {
+      std::vector<DenseTensor> init_slices(stream.slices.begin(),
+                                           stream.slices.begin() + w);
+      std::vector<Mask> init_masks(stream.masks.begin(),
+                                   stream.masks.begin() + w);
+      a->Initialize(init_slices, init_masks);
+    }
+    const size_t split = std::max<size_t>(w, 12) + 4;
+    DriveAndGather(a, stream, w, split);
+    const std::string mid = SaveBytes(*a);
+    EXPECT_EQ(RestoreAndResave(b, mid), mid);
+
+    DriveAndGather(a, stream, split, steps);
+    DriveAndGather(b, stream, split, steps);
+    EXPECT_EQ(SaveBytes(*b), SaveBytes(*a));
+  }
+}
+
+TEST(CheckpointTest, RestoreRejectsPreBinaryTextCheckpoints) {
+  // Checkpoints the text encoder (replaced by the binary format) wrote for
+  // a rank-1 SOFIA on 2x2 slices after init + two steps, and for MAST after
+  // two steps. They must fail cleanly, never abort or half-restore.
+  const std::string sofia_text = R"(sofia-stream v1
+1
+sofia-model v2
+1 2 2 0.001 0.001 10 0.10000000000000001 0.01 0.01 1 2 2.52
+1 1
+1 0 1
+2
+2 1 -1.0014161250236726 -0.05727400695216877
+2 1 0.31716499836999079 0.95158863546111627
+1
+0.40712620990643644 0.54297214807478111 0
+1 0.70477070178643197
+1 0.00030128297220929538
+2 0
+1 0.44211181474933536
+1 -0.44211181474933531
+2 0
+1 1.1480831561178895
+1 0.26265361858381681
+1 0.26265361858381681
+2 2 2 0.099001732842473378 0.099000005670815863 0.09901554091611911 0.099000051046770191
+)";
+  const std::string mast_text = R"(mast v1
+2
+2 1 0.7359629502399857 0.14706917171169015
+2 1 0.12346913714254736 0.39786297641455032
+)";
+  SofiaConfig config;
+  config.rank = 1;
+  config.period = 2;
+  config.init_seasons = 2;
+  SofiaStream sofia(config);
+  std::istringstream sofia_in(sofia_text);
+  EXPECT_THROW(sofia.RestoreState(sofia_in), state_io::StateError);
+
+  Mast mast(MastOptions{.rank = 1});
+  std::istringstream mast_in(mast_text);
+  EXPECT_THROW(mast.RestoreState(mast_in), state_io::StateError);
+}
+
 TEST(CheckpointTest, RestoreRejectsWrongMethodTag) {
   // A recoverable error, not an abort: the durability layer catches
   // StateError to fall back to an older checkpoint generation.
@@ -148,7 +248,7 @@ TEST(CheckpointTest, RestoreRejectsWrongMethodTag) {
 
 TEST(CheckpointTest, RestoreSurvivesTruncationAndBitFlipFuzz) {
   // Corruption fuzz across all nine methods: every truncation and every
-  // single-character mutation of a valid checkpoint must either restore
+  // single-byte mutation of a valid checkpoint must either restore
   // cleanly or throw StateError — never abort, crash, or allocate from a
   // poisoned size field. (ASan runs this same loop in CI.)
   const size_t steps = 20;
@@ -184,17 +284,37 @@ TEST(CheckpointTest, RestoreSurvivesTruncationAndBitFlipFuzz) {
       }
     };
 
-    // Truncations (torn writes at rest).
+    // Truncations (torn writes at rest), including every 8-byte field
+    // boundary of the header and the leading counts.
     for (const double frac : {0.0, 0.1, 0.3, 0.5, 0.7, 0.9}) {
       restore_must_not_crash(
           bytes.substr(0, static_cast<size_t>(frac * bytes.size())));
     }
     restore_must_not_crash(bytes.substr(0, bytes.size() - 1));
+    for (size_t pos = 0; pos < std::min<size_t>(256, bytes.size());
+         pos += 8) {
+      restore_must_not_crash(bytes.substr(0, pos));
+    }
+
+    // High-bit flips: at the low and high byte of every leading 8-byte
+    // field (a flipped top bit turns a count into ~2^63, a flipped low-byte
+    // bit into a plausible but wrong size) and across the whole buffer.
+    const auto flip_high_bit = [&](size_t pos) {
+      std::string mutated = bytes;
+      mutated[pos] = static_cast<char>(mutated[pos] ^ 0x80);
+      restore_must_not_crash(mutated);
+    };
+    for (size_t pos = 0; pos < std::min<size_t>(256, bytes.size());
+         pos += 8) {
+      flip_high_bit(pos);
+      if (pos + 7 < bytes.size()) flip_high_bit(pos + 7);
+    }
 
     // Single-character mutations (bit rot), spread across the buffer. '9'
     // inflates digits (stressing the allocation caps); '#' breaks parses.
     const size_t stride = std::max<size_t>(1, bytes.size() / 24);
     for (size_t pos = 0; pos < bytes.size(); pos += stride) {
+      flip_high_bit(pos);
       for (const char c : {'9', '#'}) {
         if (bytes[pos] == c) continue;
         std::string mutated = bytes;

@@ -248,6 +248,27 @@ TEST(DurableGuardTest, AllGenerationsCorruptReportsNotRestored) {
   EXPECT_GE(report.skipped_generations, 2u);
 }
 
+TEST(DurableGuardTest, PreBinaryTextSnapshotReportsNotRestored) {
+  // A CRC-valid frame around a payload in the pre-binary text layout
+  // ("<step>\n" + the inner method's text checkpoint, here OnlineSgd after
+  // two steps on 2x2 slices): the frame checks pass, the state does not.
+  const std::string dir = MakeTempDir();
+  durable::SnapshotStore store(dir, "snap", durable::SnapshotOptions{});
+  const std::string payload = R"(2
+online-sgd v1
+2
+2 3 0.75437610518178766 0.94929921297228081 0.12434181659774315 0.89192096181701785 0.14128494509434922 0.039059448295804745
+2 3 0.82522583688606566 0.89811811051786239 0.25751501865158982 0.72636163894589167 0.75883430991720158 0.59611572132263135
+)";
+  ASSERT_EQ(store.Write(0, payload), durable::IoStatus::kOk);
+
+  DurableGuard rebooted(MakeInner(), MakeOptions(dir));
+  const RecoveryReport report = rebooted.Recover();
+  EXPECT_FALSE(report.restored);
+  EXPECT_EQ(report.resume_step, 0u);
+  EXPECT_EQ(report.skipped_generations, 1u);
+}
+
 TEST(DurableGuardTest, AsyncJournalOnAuxLaneMatchesInlineBitwise) {
   const CorruptedStream stream = MakeStream(239);
   const std::vector<std::vector<double>> reference = Reference(stream);

@@ -301,6 +301,34 @@ TEST_F(ObsTest, ReportChecksCoverageBounds) {
   EXPECT_FALSE(CheckMetricsSnapshot(JsonValue{}).ok);
 }
 
+TEST_F(ObsTest, ReportRendersTimesAndSharesWithFixedDecimals) {
+  // 94.0 % and a 1234.5 ms wall once printed as "9e+01" and "1e+03":
+  // significant-digit formatting is wrong for these columns.
+  const char* snapshot_json = R"({"counters": {
+    "time.pipeline.wall_us": 1234500, "time.pipeline.compute_us": 1160430},
+    "gauges": {}, "histograms": {"sofia.step_us": {"count": 3,
+    "p50": 3712.4, "p90": 4100.0, "p99": 12345.6}}})";
+  JsonValue snapshot;
+  std::string error;
+  ASSERT_TRUE(ParseJson(snapshot_json, &snapshot, &error)) << error;
+  const std::string report = RenderReport(snapshot);
+  const auto line_with = [&](const std::string& key) {
+    const size_t at = report.find(key);
+    if (at == std::string::npos) return std::string();
+    const size_t begin = report.rfind('\n', at) + 1;
+    return report.substr(begin, report.find('\n', at) - begin);
+  };
+  const std::string compute = line_with("pipeline.compute ");
+  EXPECT_NE(compute.find("1160.43"), std::string::npos) << compute;
+  EXPECT_NE(compute.find("94.0"), std::string::npos) << compute;
+  const std::string wall = line_with("(pipeline wall)");
+  EXPECT_NE(wall.find("1234.50"), std::string::npos) << wall;
+  const std::string step = line_with("sofia.step_us");
+  EXPECT_NE(step.find("3712.4"), std::string::npos) << step;
+  EXPECT_NE(step.find("12345.6"), std::string::npos) << step;
+  EXPECT_EQ(report.find("e+"), std::string::npos) << report;
+}
+
 /// The whole point of the subsystem: measuring must not move the numbers.
 TEST_F(ObsTest, ScoresBitwiseIdenticalObsOnAndOff) {
   constexpr size_t kSteps = 24;

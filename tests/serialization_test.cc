@@ -97,7 +97,7 @@ TEST(SerializationTest, RoundtripAfterRingWraparound) {
   EXPECT_EQ(restored.level(), f.model.level());
   EXPECT_EQ(restored.trend(), f.model.trend());
   EXPECT_EQ(restored.last_temporal_row(), f.model.last_temporal_row());
-  // sigma_ round-trips exactly (max_digits10 text encoding).
+  // sigma_ round-trips exactly (raw IEEE-754 bytes).
   DenseTensor sdiff = restored.error_scale() - f.model.error_scale();
   EXPECT_DOUBLE_EQ(sdiff.FrobeniusNorm(), 0.0);
 
@@ -155,6 +155,32 @@ TEST(SerializationTest, RejectsGarbageInput) {
   // Garbage bytes throw state_io::StateError (the durability layer's
   // snapshot fallback relies on this) — never abort, never a partial model.
   std::stringstream buffer("not a checkpoint at all");
+  EXPECT_THROW(SofiaModel::Deserialize(buffer), state_io::StateError);
+}
+
+TEST(SerializationTest, RejectsPreBinaryTextCheckpoint) {
+  // A rank-1 model on 2x2 slices after init + two steps, as the text
+  // encoder (replaced by the binary format) wrote it.
+  std::stringstream buffer(R"(sofia-model v2
+1 2 2 0.001 0.001 10 0.10000000000000001 0.01 0.01 1 2 2.52
+1 1
+1 0 1
+2
+2 1 -1.0014161250236726 -0.05727400695216877
+2 1 0.31716499836999079 0.95158863546111627
+1
+0.40712620990643644 0.54297214807478111 0
+1 0.70477070178643197
+1 0.00030128297220929538
+2 0
+1 0.44211181474933536
+1 -0.44211181474933531
+2 0
+1 1.1480831561178895
+1 0.26265361858381681
+1 0.26265361858381681
+2 2 2 0.099001732842473378 0.099000005670815863 0.09901554091611911 0.099000051046770191
+)");
   EXPECT_THROW(SofiaModel::Deserialize(buffer), state_io::StateError);
 }
 
