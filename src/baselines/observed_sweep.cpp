@@ -23,18 +23,14 @@ void ObservedSweep::BeginStep(const DenseTensor& y, const Mask& omega,
   SOFIA_CHECK(y.shape() == omega.shape());
   if (shared != nullptr) {
     SOFIA_CHECK(shared->shape() == omega.shape());
+    // The adopted pattern is also the reuse cache, so a later unshared step
+    // with the same mask can still skip its rebuild.
     coo_ = std::move(shared);
-    // Seed the reuse cache so a later unshared step with the same mask can
-    // still skip its rebuild. The cache is a SparseMask built from the
-    // records just adopted, so both the staleness check and the reseed are
-    // O(|Ω_t|) — never a dense indicator copy or byte scan.
-    if (!mask_.Matches(omega)) mask_ = SparseMask::FromCoo(*coo_);
   } else {
     const bool reusable = options_.reuse_step_pattern && coo_ != nullptr &&
-                          mask_.Matches(omega);
+                          coo_->Matches(omega);
     if (!reusable) {
       coo_ = MakeSharedPattern(omega, options_.with_mode_buckets);
-      mask_ = SparseMask::FromCoo(*coo_);
       ++pattern_builds_;
     } else {
       ++pattern_reuses_;

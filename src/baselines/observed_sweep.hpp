@@ -12,7 +12,6 @@
 #include "tensor/mask.hpp"
 #include "tensor/pattern_storage.hpp"
 #include "tensor/sparse_kernels.hpp"
-#include "tensor/sparse_mask.hpp"
 #include "util/parallel.hpp"
 #include "util/shard_executor.hpp"
 
@@ -183,6 +182,7 @@ class ObservedSweep {
 
   ObservedSweepOptions options_;
   size_t resolved_threads_ = 1;
+  /// Bound pattern; also the mask-reuse cache (CooList::Matches, O(|Ω|)).
   std::shared_ptr<const CooList> coo_;
   std::shared_ptr<const CsfTensor> csf_;  ///< Fiber trees of coo_ (kCsf).
   /// Pattern csf_ was built for, held as a shared_ptr: identity compare
@@ -190,10 +190,6 @@ class ObservedSweep {
   /// pattern's storage could be reused by the next build).
   std::shared_ptr<const CooList> csf_source_;
   std::vector<double> values_;
-  // Mask-reuse cache as a SparseMask: O(|Ω|) storage and compare instead
-  // of the dense indicator's O(volume) bytes (see tensor/sparse_mask.hpp);
-  // default-constructed it is invalid and Matches() nothing.
-  SparseMask mask_;
   size_t pattern_builds_ = 0;
   size_t pattern_reuses_ = 0;
   mutable std::unique_ptr<ShardExecutor> pool_;

@@ -57,7 +57,8 @@ struct SofiaConfig {
   /// Reuse the Step() coordinate list when the incoming mask is identical to
   /// the previous step's (the common case for fixed sensor outages): the
   /// rebuild — the only O(volume) term of a sparse step — is replaced by an
-  /// O(|Ω_t|) SparseMask comparison. Structure depends only on the mask, so
+  /// O(|Ω_t|) walk of the cached CooList's records against the incoming
+  /// mask (CooList::Matches). Structure depends only on the mask, so
   /// the reuse is exact. Disable to force a rebuild every step.
   bool reuse_step_pattern = true;
 

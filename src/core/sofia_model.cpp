@@ -124,21 +124,16 @@ const CooList& SofiaModel::StepPattern(const Mask& omega,
                                        std::shared_ptr<const CooList> shared) {
   if (shared != nullptr) {
     SOFIA_CHECK(shared->shape() == omega.shape());
+    // The adopted pattern is also the reuse cache: a later unshared step
+    // with the same mask still skips its rebuild (same guard as
+    // ObservedSweep::BeginStep).
     step_coo_ = std::move(shared);
-    // Seed the reuse cache so a later unshared step with the same mask
-    // still skips its rebuild (same guard as ObservedSweep::BeginStep;
-    // both the staleness check and the reseed are O(|Ω_t|) on the
-    // SparseMask cache — never a dense indicator copy or byte scan).
-    if (!step_mask_.Matches(omega)) {
-      step_mask_ = SparseMask::FromCoo(*step_coo_);
-    }
     return *step_coo_;
   }
   const bool reusable = config_.reuse_step_pattern && step_coo_ != nullptr &&
-                        step_mask_.Matches(omega);
+                        step_coo_->Matches(omega);
   if (!reusable) {
     step_coo_ = std::make_shared<const CooList>(CooList::Build(omega));
-    step_mask_ = SparseMask::FromCoo(*step_coo_);
     ++step_pattern_builds_;
   } else {
     ++step_pattern_reuses_;

@@ -12,7 +12,6 @@
 #include "tensor/coo_list.hpp"
 #include "tensor/dense_tensor.hpp"
 #include "tensor/mask.hpp"
-#include "tensor/sparse_mask.hpp"
 #include "timeseries/holt_winters.hpp"
 #include "util/parallel.hpp"
 #include "util/shard_executor.hpp"
@@ -229,11 +228,10 @@ class SofiaModel {
   DenseTensor sigma_;  ///< Error-scale tensor Σ̂_t (slice shape).
 
   // Working state of the sparse Step path (derived, never serialized): the
-  // last mask's indicator as a SparseMask (O(|Ω_t|) to store and compare —
-  // the dense Mask cache this replaces paid an O(volume) byte scan per
-  // reuse check), its coordinate list (a shared_ptr, so comparison runners
-  // can hand their per-step build straight in) and the kernel worker pool.
-  SparseMask step_mask_;
+  // last mask's coordinate list, which doubles as the mask-reuse cache
+  // (CooList::Matches walks its records against the incoming mask in
+  // O(|Ω_t|); a shared_ptr, so comparison runners can hand their per-step
+  // build straight in), and the kernel worker pool.
   std::shared_ptr<const CooList> step_coo_;
   std::shared_ptr<const CsfTensor> step_csf_;  ///< Own-knob CSF cache.
   /// Pattern step_csf_ was built for: shared_ptr identity, so a freed

@@ -95,13 +95,12 @@ bool WriteAllFd(int fd, const char* data, size_t size, const char* site) {
 
 }  // namespace
 
-void EncodeRecord(uint64_t step, const DenseTensor& slice, const Mask& mask,
-                  std::string* out) {
-  SOFIA_CHECK(slice.shape() == mask.shape())
-      << "slice/mask shape mismatch in journal encode";
+void EncodeRecord(uint64_t step, const DenseTensor& slice,
+                  const std::vector<size_t>& indices, std::string* out) {
   // Size the record once and store in place. `out` keeps its previous
   // size, so a record no larger than the last one resizes without a fill.
-  const size_t nnz = mask.CountObserved();
+  const size_t nnz = indices.size();
+  if (nnz > 0) SOFIA_CHECK_LT(indices.back(), slice.NumElements());
   const size_t body = kRecordPrefixBytes + 16 * nnz;
   out->resize(body + kRecordSuffixBytes);
   char* p = &(*out)[0];
@@ -110,11 +109,10 @@ void EncodeRecord(uint64_t step, const DenseTensor& slice, const Mask& mask,
   StoreU64(p + 8, step);
   StoreU64(p + 16, nnz);
   char* entry = p + kRecordPrefixBytes;
-  const size_t volume = mask.shape().NumElements();
-  for (size_t idx = 0; idx < volume; ++idx) {
-    if (!mask.Get(idx)) continue;
+  const double* values = slice.data();
+  for (const size_t idx : indices) {
     StoreU64(entry, static_cast<uint64_t>(idx));
-    std::memcpy(entry + 8, slice.data() + idx, 8);
+    std::memcpy(entry + 8, values + idx, 8);
     entry += 16;
   }
   StoreU32(p + body, durable::Crc32(p, body));
@@ -168,7 +166,9 @@ bool SliceFileWriter::Append(uint64_t step, const DenseTensor& slice,
   SOFIA_CHECK(slice.shape() == slice_shape_)
       << "journal slice shape changed mid-file: expected "
       << slice_shape_.ToString() << " got " << slice.shape().ToString();
-  EncodeRecord(step, slice, mask, &scratch_);
+  SOFIA_CHECK(mask.shape() == slice_shape_)
+      << "slice/mask shape mismatch in journal encode";
+  EncodeRecord(step, slice, mask.ObservedIndices(), &scratch_);
   return AppendEncoded(scratch_);
 }
 

@@ -63,11 +63,13 @@ struct SliceRecordView {
   size_t nnz = 0;
 };
 
-/// Serializes one record (step + observed entries of `slice` under `mask`)
-/// into `out` (cleared first). Pure encode — no IO — so the journal can
-/// reuse one buffer per append.
-void EncodeRecord(uint64_t step, const DenseTensor& slice, const Mask& mask,
-                  std::string* out);
+/// Serializes one record (step + the entries of `slice` at `indices`, which
+/// must ascend) into `out` (cleared first). Pure encode — no IO — so the
+/// journal can reuse one buffer per append. O(|indices|): the durable guard
+/// hands in the slice's shared pattern (CooList::LinearIndices), so the
+/// journal never rescans the dense mask.
+void EncodeRecord(uint64_t step, const DenseTensor& slice,
+                  const std::vector<size_t>& indices, std::string* out);
 
 /// Append-only writer. Creates the file (truncating any previous content)
 /// and writes the header; Append adds one record. Every write consults the

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "obs/obs.hpp"
+#include "tensor/coo_list.hpp"
 #include "util/check.hpp"
 #include "util/fault_injection.hpp"
 #include "util/state_io.hpp"
@@ -229,8 +230,21 @@ void DurableGuard::TakeSnapshot() {
   steps_since_snapshot_ = 0;
 }
 
+const DenseTensor& DurableGuard::Decode(const DenseTensor& y,
+                                        const CooList& pattern) {
+  SOFIA_CHECK(y.shape() == pattern.shape())
+      << "slice/mask shape mismatch in durable decode";
+  if (!(decoded_.shape() == y.shape())) {
+    decoded_ = DenseTensor(y.shape());
+  } else {
+    std::fill(decoded_.data(), decoded_.data() + decoded_.NumElements(), 0.0);
+  }
+  for (const size_t idx : pattern.LinearIndices()) decoded_[idx] = y[idx];
+  return decoded_;
+}
+
 void DurableGuard::JournalSlice(const DenseTensor& decoded,
-                                const Mask& omega) {
+                                const CooList& pattern) {
   if (!options_.journal) return;
   {
     std::lock_guard<std::mutex> lock(io_mutex_);
@@ -240,7 +254,8 @@ void DurableGuard::JournalSlice(const DenseTensor& decoded,
       return;
     }
   }
-  slicefmt::EncodeRecord(step_, decoded, omega, &encode_buf_);
+  slicefmt::EncodeRecord(step_, decoded, pattern.LinearIndices(),
+                         &encode_buf_);
   ++telemetry_.journal_appends;
   telemetry_.journal_bytes += encode_buf_.size();
   Dm().journal_appends->Add(1);
@@ -257,6 +272,16 @@ void DurableGuard::JournalSlice(const DenseTensor& decoded,
     }
     if (sync_each && !journal_.Sync()) MarkJournalLost();
   });
+}
+
+void DurableGuard::AfterStep() {
+  ++step_;
+  ++telemetry_.steps;
+  Dm().steps->Add(1);
+  if (options_.snapshot_every > 0 &&
+      ++steps_since_snapshot_ >= options_.snapshot_every) {
+    TakeSnapshot();
+  }
 }
 
 std::vector<DenseTensor> DurableGuard::Initialize(
@@ -278,20 +303,20 @@ StepResult DurableGuard::StepLazy(const DenseTensor& y, const Mask& omega,
   // Init-less methods skip Initialize: write the pristine baseline
   // generation before the first slice, for the same reason as above.
   if (next_seq_ == 0) TakeSnapshot();
+  // Standalone use (no pipeline): build the slice's pattern once here and
+  // hand it inward, replacing — not duplicating — the inner build.
+  if (pattern == nullptr) {
+    pattern = std::make_shared<const CooList>(CooList::Build(omega));
+  }
   // The journal stores — and the inner method consumes — the canonical
   // decoded form: observed entries only, zero elsewhere. Live and replayed
   // runs therefore feed the model byte-identical inputs even if a method
-  // peeks at unobserved entries.
-  DenseTensor decoded = omega.Apply(y);
-  JournalSlice(decoded, omega);
+  // peeks at unobserved entries. Decode and encode both walk the pattern's
+  // records; neither rescans the mask.
+  const DenseTensor& decoded = Decode(y, *pattern);
+  JournalSlice(decoded, *pattern);
   StepResult result = inner_->StepLazy(decoded, omega, std::move(pattern));
-  ++step_;
-  ++telemetry_.steps;
-  Dm().steps->Add(1);
-  if (options_.snapshot_every > 0 &&
-      ++steps_since_snapshot_ >= options_.snapshot_every) {
-    TakeSnapshot();
-  }
+  AfterStep();
   return result;
 }
 
@@ -299,16 +324,13 @@ void DurableGuard::Observe(const DenseTensor& y, const Mask& omega) {
   RethrowPendingCrash();
   if (slice_shape_.order() == 0) slice_shape_ = y.shape();
   if (next_seq_ == 0) TakeSnapshot();
-  DenseTensor decoded = omega.Apply(y);
-  JournalSlice(decoded, omega);
+  // Observe has no pattern seam inward, so the records only serve the
+  // decode and the journal: skip the bucket tables.
+  const CooList pattern = CooList::Build(omega, /*with_mode_buckets=*/false);
+  const DenseTensor& decoded = Decode(y, pattern);
+  JournalSlice(decoded, pattern);
   inner_->Observe(decoded, omega);
-  ++step_;
-  ++telemetry_.steps;
-  Dm().steps->Add(1);
-  if (options_.snapshot_every > 0 &&
-      ++steps_since_snapshot_ >= options_.snapshot_every) {
-    TakeSnapshot();
-  }
+  AfterStep();
 }
 
 void DurableGuard::SaveState(std::ostream& out) const {

@@ -103,7 +103,10 @@ class DurableGuard : public StreamingMethod {
 
   /// Journal-then-step: appends the canonical decoded slice to the WAL,
   /// feeds the same decoded slice to the inner method, and snapshots on
-  /// cadence. Rethrows a pending aux-lane SimulatedCrash first.
+  /// cadence. Rethrows a pending aux-lane SimulatedCrash first. Decode and
+  /// journal encode walk `pattern`'s records, which must be omega's
+  /// observed set; without one the guard builds it (one mask scan) and
+  /// hands it inward, so the stack below builds none.
   StepResult StepLazy(const DenseTensor& y, const Mask& omega,
                       std::shared_ptr<const CooList> pattern =
                           nullptr) override;
@@ -167,8 +170,14 @@ class DurableGuard : public StreamingMethod {
   void MarkJournalLost();
   /// Journal segments on disk, ascending seq.
   std::vector<uint64_t> ListSegments() const;
-  /// Shared step path of StepLazy/Observe up to the inner call.
-  void JournalSlice(const DenseTensor& decoded, const Mask& omega);
+  /// Canonical decoded form of `y` into the reused decoded_ buffer: zero
+  /// fill, then the pattern's observed entries scattered back in.
+  const DenseTensor& Decode(const DenseTensor& y, const CooList& pattern);
+  /// Appends the decoded slice's entries at the pattern's records to the
+  /// journal (shared step path of StepLazy/Observe).
+  void JournalSlice(const DenseTensor& decoded, const CooList& pattern);
+  /// Step counters and snapshot cadence after the inner call.
+  void AfterStep();
 
   std::unique_ptr<StreamingMethod> inner_;
   DurableGuardOptions options_;
@@ -192,6 +201,7 @@ class DurableGuard : public StreamingMethod {
   std::mutex crash_mutex_;             ///< Guards pending_crash_.
   std::exception_ptr pending_crash_;   ///< Captured aux-lane crash.
 
+  DenseTensor decoded_;       ///< Reused canonical decoded slice.
   std::string encode_buf_;    ///< Reused EncodeRecord scratch.
   std::string snapshot_buf_;  ///< Reused TakeSnapshot payload.
 };

@@ -30,8 +30,8 @@ std::vector<DenseTensor> RunInitWindow(StreamingMethod* method,
 /// window, mean per-step time.
 void FinalizeRunMetrics(size_t window, StreamRunResult* result);
 
-/// Copies a StreamGuard's trip/recovery counters into the run result (a
-/// no-op for unguarded methods).
+/// Copies a StreamGuard's trip/recovery counters into the run result, also
+/// when a DurableGuard wraps it (a no-op for unguarded methods).
 void AttachGuardTelemetry(const StreamingMethod* method,
                           StreamRunResult* result);
 

@@ -96,7 +96,7 @@ void StreamPipeline::IngestWindow(size_t w, size_t limit) {
   for (size_t t = begin; t < end; ++t) {
     SliceIngest& ingest = slot[t - begin];
     const Mask& omega = stream_.masks[t];
-    if (!cache_mask_.valid() || !cache_mask_.Matches(omega)) {
+    if (cache_pattern_ == nullptr || !cache_pattern_->Matches(omega)) {
       std::shared_ptr<const CooList> previous = std::move(cache_pattern_);
       cache_pattern_ = MakeSharedPattern(omega);
       if (options_.pattern_storage == PatternStorage::kCsf) {
@@ -107,13 +107,19 @@ void StreamPipeline::IngestWindow(size_t w, size_t limit) {
       }
       cache_eval_ = BuildEvalPattern(*cache_pattern_,
                                      options_.max_eval_entries);
-      SparseMask next = SparseMask::FromCoo(*cache_pattern_);
-      // Rebuild telemetry: how far did the mask actually move? (The first
-      // build has no predecessor and logs no delta.)
-      if (cache_mask_.valid()) {
-        pattern_delta_sizes_.push_back(cache_mask_.DeltaSize(next));
+      // Rebuild telemetry: how far did the mask actually move? |Ω_a Δ Ω_b|
+      // = |Ω_a| + |Ω_b| − 2 |Ω_a ∩ Ω_b|, the intersection counted by
+      // probing the previous mask at the new records. (The first build has
+      // no predecessor and logs no delta.)
+      if (previous != nullptr) {
+        size_t common = 0;
+        for (const size_t idx : cache_pattern_->LinearIndices()) {
+          common += cache_mask_->Get(idx) ? 1 : 0;
+        }
+        pattern_delta_sizes_.push_back(previous->nnz() +
+                                       cache_pattern_->nnz() - 2 * common);
       }
-      cache_mask_ = std::move(next);
+      cache_mask_ = &omega;
       ++pattern_builds_;
     } else {
       ++pattern_reuses_;
@@ -144,7 +150,7 @@ std::vector<MethodRunResult> StreamPipeline::Run(
 
   // Fresh cache + telemetry per Run; the executor (and its warm arena)
   // persists across calls.
-  cache_mask_ = SparseMask();
+  cache_mask_ = nullptr;
   cache_pattern_.reset();
   cache_eval_.reset();
   pattern_builds_ = 0;

@@ -9,7 +9,6 @@
 #include "eval/stream_runner.hpp"
 #include "eval/streaming_method.hpp"
 #include "tensor/coo_list.hpp"
-#include "tensor/sparse_mask.hpp"
 #include "util/shard_executor.hpp"
 
 /// \file stream_pipeline.hpp
@@ -99,8 +98,11 @@ class StreamPipeline {
 
   // Shared pattern cache, advanced only by ingest (one thread at a time:
   // the aux thread at depth >= 2, the driver at depth 1; Wait() barriers
-  // order every hand-off).
-  SparseMask cache_mask_;
+  // order every hand-off). The pattern is the only record of the cached
+  // observed set: the reuse check walks its records against the incoming
+  // mask. cache_mask_ is the stream mask it was built from, probed by the
+  // rebuild telemetry.
+  const Mask* cache_mask_ = nullptr;
   std::shared_ptr<const CooList> cache_pattern_;
   std::shared_ptr<const CooList> cache_eval_;
   size_t pattern_builds_ = 0;

@@ -3,6 +3,7 @@
 #include <memory>
 #include <utility>
 
+#include "eval/durable_guard.hpp"
 #include "eval/metrics.hpp"
 #include "eval/run_helpers.hpp"
 #include "eval/stream_pipeline.hpp"
@@ -49,6 +50,11 @@ void FinalizeRunMetrics(size_t window, StreamRunResult* result) {
 
 void AttachGuardTelemetry(const StreamingMethod* method,
                           StreamRunResult* result) {
+  // The deployed stack is DurableGuard(StreamGuard(method)): look through
+  // the durability layer to the health guard it wraps.
+  if (const auto* durable = dynamic_cast<const DurableGuard*>(method)) {
+    method = &durable->inner();
+  }
   if (const auto* guard = dynamic_cast<const StreamGuard*>(method)) {
     result->guarded = true;
     result->guard = guard->telemetry();

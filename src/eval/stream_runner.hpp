@@ -126,11 +126,12 @@ struct StreamRunResult {
   size_t pattern_reuses = 0;   ///< Steps served by the cached pattern.
   /// |Ω_prev Δ Ω_new| of every rebuild after the first (one entry per
   /// rebuild) — the bitmap delta between the outgoing and incoming masks,
-  /// computed by an O(|Ω_prev| + |Ω_new|) merge walk.
+  /// |Ω_prev| + |Ω_new| − 2 |Ω_prev ∩ Ω_new| with the intersection counted
+  /// by probing the outgoing mask at the new pattern's records, O(|Ω_new|).
   std::vector<size_t> pattern_delta_sizes;
 
   // Fault-tolerance telemetry, populated when the method is a StreamGuard
-  // wrapper. `guarded` distinguishes an unguarded run from a guarded run
+  // wrapper or a DurableGuard over one. `guarded` distinguishes an unguarded run from a guarded run
   // that simply saw zero trips.
   bool guarded = false;
   GuardTelemetry guard;

@@ -38,23 +38,33 @@ class CooList {
  public:
   CooList() = default;
 
-  /// Compact the observed entries of `omega`. One pass over the dense index
-  /// space; everything afterwards is O(|Ω|). `with_mode_buckets = false`
-  /// skips the N per-mode bucket tables (O(N |Ω|) time and memory) for
-  /// consumers that only stream the record list (gradients, norms).
+  /// Compact the observed entries of `omega`. One branchless pass over the
+  /// mask bits (plus omega's one CountObserved() scan if its count is not
+  /// cached yet); everything afterwards is O(|Ω|). `with_mode_buckets =
+  /// false` skips the N per-mode bucket tables (O(N |Ω|) time and memory)
+  /// for consumers that only stream the record list (gradients, norms).
   static CooList Build(const Mask& omega, bool with_mode_buckets = true);
 
   /// Build directly from already-sorted ascending linear indices — O(|Ω|
-  /// order), no dense scan. This is the SparseMask → kernel-layer
-  /// conversion and the |Ω|-scaling eval-pattern build of the comparison
-  /// runner (which derives its held-out picks from the observed pattern's
-  /// gaps instead of re-walking the index space).
+  /// order), no dense scan; field for field equal to Build on the same
+  /// set. This is the SparseMask → kernel-layer conversion and the
+  /// |Ω|-scaling eval-pattern build of the comparison runner (which derives
+  /// its held-out picks from the observed pattern's gaps instead of
+  /// re-walking the index space).
   static CooList FromIndices(const Shape& shape, std::vector<size_t> sorted,
                              bool with_mode_buckets = true);
 
   /// Like Build, but buckets only the given mode — for one-shot kernels
   /// (e.g. a single MaskedMttkrp) that never read the other modes' tables.
   static CooList BuildForMode(const Mask& omega, size_t mode);
+
+  /// Same shape and same observed set as `omega`: the count comparison
+  /// rules out extra entries, then the record walk checks every record is
+  /// observed — equal sizes plus containment is equality. O(|Ω|) given
+  /// omega's cached observed count; never touches the unobserved entries.
+  /// This is the mask-reuse check of every pattern cache, which holds the
+  /// pattern itself rather than a second copy of its indices.
+  bool Matches(const Mask& omega) const;
 
   /// True if mode `mode`'s slice bucket was built (required by the
   /// slice-parallel kernels CooMttkrp / CooRowSystems on that mode).
@@ -112,9 +122,10 @@ class CooList {
   }
 
  private:
-  /// Shared tail of the factories: delinearize `linear_` into `coords_`
-  /// and (optionally) build the per-mode buckets.
-  void FinishFromLinear(bool with_mode_buckets);
+  /// Fails unless coordinates and record numbers fit their 32-bit fields.
+  void CheckIndexWidths(size_t nnz) const;
+  /// Builds the N per-mode buckets from the finished records.
+  void BucketAllModes();
 
   Shape shape_;
   size_t order_ = 0;

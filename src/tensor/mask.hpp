@@ -73,8 +73,10 @@ class Mask {
   bool operator!=(const Mask& other) const { return !(*this == other); }
 
   /// Process-wide count of full byte-scan equality compares (the O(volume)
-  /// fallback of operator==). The steady-state streaming loops hold their
-  /// mask caches as SparseMask and must keep this flat — test-pinned in
+  /// fallback of operator==). The steady-state streaming loops never
+  /// compare dense masks — their caches hold the CooList built from the
+  /// last mask and check reuse with CooList::Matches — so this must stay
+  /// flat; test-pinned in
   /// tests/csf_test.cc, mirroring StepResult::materializations().
   static size_t deep_equality_scans();
   static void ResetDeepEqualityScans();

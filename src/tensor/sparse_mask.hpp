@@ -11,17 +11,18 @@
 /// \brief Sorted-coordinate observation indicator — the |Ω|-scaling twin of
 /// the dense Mask.
 ///
-/// The mask-reuse caches (SofiaModel::Step, ObservedSweep::BeginStep, the
-/// comparison runner's per-mask pattern map) only ever ask one question of
-/// their cached indicator: "is the incoming mask the same observed set?".
-/// Holding the cache as a dense Mask makes that answer an O(volume) byte
-/// compare — at 1% observed, ~100× more work than the kernels the cache
-/// feeds. A SparseMask stores only the sorted linear indices of the observed
-/// entries, so the cache costs O(|Ω|) to store, O(min(|Ω_a|, |Ω_b|)) to
-/// compare against another SparseMask, and O(|Ω|) to compare against an
-/// incoming dense Mask (given the mask's cached observed count) — never the
-/// volume. Conversions to/from Mask and CooList close the loop with the
-/// dense layer and the kernel layer.
+/// A SparseMask stores only the sorted linear indices of the observed
+/// entries: O(|Ω|) to store, O(min(|Ω_a|, |Ω_b|)) to compare against
+/// another SparseMask, and O(|Ω|) to compare against an incoming dense Mask
+/// (given the mask's cached observed count) — never the volume.
+/// Conversions to/from Mask and CooList close the loop with the dense layer
+/// and the kernel layer.
+///
+/// The streaming pattern caches (SofiaModel::Step, ObservedSweep::BeginStep,
+/// the StreamPipeline's shared pattern) do not hold a SparseMask: the
+/// CooList they build already carries the same sorted indices, so they
+/// check reuse against it directly (CooList::Matches) and each slice's mask
+/// is scanned once, by CooList::Build.
 
 namespace sofia {
 

@@ -7,19 +7,26 @@
 // and when nothing on disk is usable the guard reports that instead of
 // crashing, hanging, or silently answering wrong.
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "baselines/cphw.hpp"
 #include "baselines/online_sgd.hpp"
 #include "core/sofia_stream.hpp"
 #include "data/corruption.hpp"
+#include "data/scenarios.hpp"
 #include "data/synthetic.hpp"
 #include "eval/durable_guard.hpp"
 #include "eval/stream_guard.hpp"
+#include "eval/stream_pipeline.hpp"
 #include "tensor/coo_list.hpp"
 #include "util/durable_io.hpp"
 #include "util/fault_injection.hpp"
@@ -37,15 +44,18 @@ std::string MakeTempDir() {
   return dir;
 }
 
-/// A 60-step corrupted stream, pre-decoded to the canonical form (observed
-/// entries only) so raw methods and durable guards see identical inputs.
-CorruptedStream MakeStream(uint64_t seed) {
+/// A 60-step corrupted stream, by default pre-decoded to the canonical
+/// form (observed entries only) so raw methods and durable guards see
+/// identical inputs. `decoded = false` keeps the values at unobserved
+/// entries, which the guard's own decode must drop.
+CorruptedStream MakeStream(uint64_t seed, bool decoded = true) {
   SyntheticTensor syn = MakeSinusoidTensor(6, 5, kSteps, 3, 4, seed);
   std::vector<DenseTensor> truth;
   for (size_t t = 0; t < kSteps; ++t) {
     truth.push_back(syn.tensor.SliceLastMode(t));
   }
   CorruptedStream stream = Corrupt(truth, {20.0, 5.0, 2.0}, seed + 1);
+  if (!decoded) return stream;
   for (size_t t = 0; t < stream.slices.size(); ++t) {
     stream.slices[t] = stream.masks[t].Apply(stream.slices[t]);
   }
@@ -65,13 +75,39 @@ DurableGuardOptions MakeOptions(const std::string& dir) {
   return options;
 }
 
-/// Estimates gathered at the observed entries of step t.
+/// Estimates gathered at the observed entries of step t. With
+/// `shared_pattern` the step is handed a prebuilt pattern of its mask, as
+/// the StreamPipeline does; without, the method builds its own.
 std::vector<double> GatherStep(StreamingMethod* method,
-                               const CorruptedStream& stream, size_t t) {
-  StepResult result = method->StepLazy(stream.slices[t], stream.masks[t]);
+                               const CorruptedStream& stream, size_t t,
+                               bool shared_pattern = false) {
+  std::shared_ptr<const CooList> shared;
+  if (shared_pattern) {
+    shared = std::make_shared<const CooList>(CooList::Build(stream.masks[t]));
+  }
+  StepResult result =
+      method->StepLazy(stream.slices[t], stream.masks[t], shared);
   CooList pattern =
       CooList::Build(stream.masks[t], /*with_mode_buckets=*/false);
   return result.GatherAt(pattern);
+}
+
+/// Name -> bytes of every file in `dir` (snapshots and journal segments).
+std::map<std::string, std::string> DirContents(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  DIR* d = ::opendir(dir.c_str());
+  EXPECT_NE(d, nullptr);
+  if (d == nullptr) return out;
+  while (struct dirent* entry = ::readdir(d)) {
+    const std::string name = entry->d_name;
+    if (name == "." || name == "..") continue;
+    std::ifstream in(dir + "/" + name, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    out[name] = bytes.str();
+  }
+  ::closedir(d);
+  return out;
 }
 
 /// Per-step gathered estimates of an uninterrupted, unguarded run — the
@@ -140,6 +176,23 @@ TEST(DurableGuardTest, UninterruptedRunMatchesRawMethodBitwise) {
   EXPECT_EQ(guard.telemetry().journal_appends, kSteps);
   EXPECT_GT(guard.telemetry().snapshots_written, 0u);
   EXPECT_EQ(guard.telemetry().journal_failures, 0u);
+
+  // Slices that carry values at unobserved entries reach the inner method
+  // in the canonical decoded form: CPHW keeps whole slices in its state,
+  // and must save the same bytes as a raw CPHW fed pre-decoded slices.
+  const CorruptedStream undecoded = MakeStream(211, /*decoded=*/false);
+  Cphw raw(CphwOptions{.rank = 3, .period = 4});
+  DurableGuard cphw_guard(
+      std::make_unique<Cphw>(CphwOptions{.rank = 3, .period = 4}),
+      MakeOptions(MakeTempDir()));
+  for (size_t t = 0; t < kSteps; ++t) {
+    raw.StepLazy(stream.slices[t], stream.masks[t]);
+    cphw_guard.StepLazy(undecoded.slices[t], undecoded.masks[t]);
+  }
+  std::ostringstream raw_state, guarded_state;
+  raw.SaveState(raw_state);
+  cphw_guard.SaveState(guarded_state);
+  EXPECT_TRUE(raw_state.str() == guarded_state.str());
 }
 
 TEST(DurableGuardTest, KillAndRecoverMatrixIsBitwiseIdentical) {
@@ -285,10 +338,31 @@ TEST(DurableGuardTest, AsyncJournalOnAuxLaneMatchesInlineBitwise) {
   EXPECT_EQ(guard.telemetry().journal_failures, 0u);
 
   // The drained journal tail + snapshots recover to the exact stream end.
+  const std::map<std::string, std::string> async_files = DirContents(dir);
   DurableGuard rebooted(MakeInner(), MakeOptions(dir));
   const RecoveryReport report = rebooted.Recover();
   ASSERT_TRUE(report.restored);
   EXPECT_EQ(report.resume_step, kSteps);
+
+  // Inline IO, with and without the pipeline's shared pattern: the guard
+  // decodes and journals from whichever pattern it holds, so estimates and
+  // every snapshot and journal byte must equal the async run's.
+  for (const bool shared_pattern : {false, true}) {
+    SCOPED_TRACE(shared_pattern ? "shared pattern" : "own pattern");
+    const std::string inline_dir = MakeTempDir();
+    {
+      DurableGuard inline_guard(MakeInner(), MakeOptions(inline_dir));
+      for (size_t t = 0; t < kSteps; ++t) {
+        ASSERT_EQ(GatherStep(&inline_guard, stream, t, shared_pattern),
+                  reference[t])
+            << "step " << t;
+      }
+      inline_guard.Drain();
+    }
+    const std::map<std::string, std::string> files = DirContents(inline_dir);
+    EXPECT_FALSE(files.empty());
+    EXPECT_TRUE(files == async_files);
+  }
 }
 
 TEST(DurableGuardTest, AuxLaneCrashSurfacesOnIngestThread) {
@@ -360,6 +434,34 @@ TEST(DurableGuardTest, ComposesOverStreamGuardAndRecoversBitwise) {
     ASSERT_EQ(GatherStep(&rebooted, stream, t), reference[t])
         << "step " << t;
   }
+}
+
+TEST(DurableGuardTest, PipelineReportsGuardTelemetryThroughDurableLayer) {
+  // A pipeline run over the deployed stack, DurableGuard(StreamGuard(...)),
+  // on a stream with garbage slices: the run result must carry the inner
+  // StreamGuard's trips, not read as unguarded.
+  std::vector<DenseTensor> truth;
+  SyntheticTensor syn = MakeSinusoidTensor(6, 5, kSteps, 3, 4, 257);
+  for (size_t t = 0; t < kSteps; ++t) {
+    truth.push_back(syn.tensor.SliceLastMode(t));
+  }
+  ScenarioOptions scenario_options;
+  scenario_options.garbage_offset = 10;
+  const ScenarioStream scenario = MakeScenario(
+      ScenarioKind::kGarbageSlices, truth, scenario_options, 258);
+
+  const std::string dir = MakeTempDir();
+  DurableGuard durable(std::make_unique<StreamGuard>(MakeInner()),
+                       MakeOptions(dir));
+  const std::vector<MethodRunResult> results =
+      RunStreamPipeline({&durable}, scenario.stream, scenario.truth);
+  ASSERT_EQ(results.size(), 1u);
+  const StreamRunResult& run = results[0].run;
+  EXPECT_TRUE(run.guarded);
+  EXPECT_GT(run.guard.input_trips, 0u);
+  const auto& guard = dynamic_cast<const StreamGuard&>(durable.inner());
+  EXPECT_EQ(run.guard.input_trips, guard.telemetry().input_trips);
+  EXPECT_EQ(run.guard.steps, guard.telemetry().steps);
 }
 
 TEST(DurableGuardTest, SnapshotIoErrorsDegradeWithoutDataLoss) {
