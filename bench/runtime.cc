@@ -11,12 +11,7 @@
 //    truth gathers) hides under compute — the hidden fraction is
 //    1 - ingest_stall_s / ingest_s, taken straight from the pipeline
 //    telemetry;
-//  - per-slice vs windowed ingest (window 1 vs 4) at depth 2;
-//  - executor dispatch vs an ephemeral pool: the per-batch cost of the
-//    persistent sharded runtime against constructing and joining a fresh
-//    ThreadPool per batch (the pattern the cached ParallelFor fallback and
-//    the ShardExecutor both replace). This win is real at any core count —
-//    it is thread create/join overhead, not parallel speedup.
+//  - per-slice vs windowed ingest (window 1 vs 4) at depth 2.
 //
 // Scores are bitwise identical across the whole matrix (pinned by
 // tests/stream_pipeline_test.cc); this bench reports the measured
@@ -34,7 +29,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/sofia_stream.hpp"
@@ -44,9 +38,7 @@
 #include "eval/stream_runner.hpp"
 #include "util/bench_json.hpp"
 #include "util/flags.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
-#include "util/shard_executor.hpp"
 #include "util/stopwatch.hpp"
 
 namespace sofia {
@@ -121,29 +113,6 @@ RunStats TimeRun(const CorruptedStream& stream,
     if (rep == 0 || stats.steps_per_s > best.steps_per_s) best = stats;
   }
   return best;
-}
-
-/// Per-batch dispatch cost: a persistent ShardExecutor running `batches`
-/// trivial 16-task batches vs constructing + joining a fresh ThreadPool per
-/// batch. Returns microseconds per batch for each.
-std::pair<double, double> TimeDispatch(size_t threads, size_t batches) {
-  volatile double sink = 0.0;
-  auto task = [&](size_t t) { sink = sink + static_cast<double>(t); };
-  Stopwatch persistent_timer;
-  {
-    ShardExecutor executor(threads);
-    for (size_t b = 0; b < batches; ++b) executor.Run(16, task);
-  }
-  const double persistent_us =
-      1e6 * persistent_timer.ElapsedSeconds() / static_cast<double>(batches);
-  Stopwatch ephemeral_timer;
-  for (size_t b = 0; b < batches; ++b) {
-    ThreadPool pool(threads);
-    pool.Run(16, task);
-  }
-  const double ephemeral_us =
-      1e6 * ephemeral_timer.ElapsedSeconds() / static_cast<double>(batches);
-  return {persistent_us, ephemeral_us};
 }
 
 }  // namespace
@@ -232,19 +201,6 @@ int main(int argc, char** argv) {
               100.0 * overlap_on.hidden_fraction, window4.steps_per_s,
               100.0 * window4.hidden_fraction);
 
-  // Persistent-vs-ephemeral dispatch (thread create/join overhead — real
-  // at any core count).
-  const auto [persistent_us, ephemeral_us] =
-      TimeDispatch(/*threads=*/4, /*batches=*/2000);
-  results["dispatch/persistent_us_per_batch"] = persistent_us;
-  results["dispatch/ephemeral_pool_us_per_batch"] = ephemeral_us;
-  speedups["persistent_dispatch_vs_ephemeral"] =
-      persistent_us > 0.0 ? ephemeral_us / persistent_us : 0.0;
-  std::printf("dispatch (4 threads, 16 tasks): persistent %.1f us/batch, "
-              "ephemeral pool %.1f us/batch (%.1fx)\n",
-              persistent_us, ephemeral_us,
-              speedups["persistent_dispatch_vs_ephemeral"]);
-
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -261,18 +217,16 @@ int main(int argc, char** argv) {
                "ingest/compute pipelining at 2 workers, depth 2 vs 1, "
                "hidden_fraction = share of ingest time overlapped under "
                "compute (1 - stall/ingest, from PipelineTelemetry), plus "
-               "the window=4 batched-ingest variant; dispatch/* = "
-               "microseconds per 16-task batch on the persistent executor "
-               "vs constructing a fresh ThreadPool per batch. Scores are "
+               "the window=4 batched-ingest variant. Scores are "
                "bitwise identical across the whole matrix "
                "(tests/stream_pipeline_test.cc); numbers are best of %zu "
                "repetitions on THIS machine — see the machine block: on a "
                "single core, worker rows measure contention, and the "
-               "dispatch and overlap rows are the real wins. "
+               "overlap rows are the real wins. "
                "(bench_runtime --out=BENCH_runtime.json)\",\n",
                steps, rows, cols, kRank, 100.0 * density, reps);
   bench::WriteMachineBlock(f);
-  std::fprintf(f, "  \"unit\": \"steps_per_s | ms | us | fraction\",\n");
+  std::fprintf(f, "  \"unit\": \"steps_per_s | ms | fraction\",\n");
   std::fprintf(f, "  \"results\": {\n");
   size_t i = 0;
   for (const auto& [key, value] : results) {

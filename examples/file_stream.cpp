@@ -42,11 +42,11 @@
 //
 // The run is driven by the sharded streaming runtime
 // (eval/stream_pipeline.hpp): --workers sizes the persistent ShardExecutor
-// (each worker keeps a stable slab range of every CSF tree),
-// --pipeline-depth >= 2 overlaps slice t+1's ingest (pattern build, CSF
-// delta, truth gathers) with slice t's solve on the executor's aux lane,
-// and --window batches that ingest k slices at a time. Scores are bitwise
-// identical for every knob combination.
+// (default: --num_threads; each worker keeps a stable slab range of every
+// CSF tree), --pipeline-depth >= 2 overlaps slice t+1's ingest (pattern
+// build, CSF delta, truth gathers) with slice t's solve on the executor's
+// aux lane, and --window batches that ingest k slices at a time. Scores are
+// bitwise identical for every knob combination.
 
 #include <algorithm>
 #include <cstdio>
@@ -249,9 +249,9 @@ int main(int argc, char** argv) {
   // Drive the run through the sharded, pipelined streaming runtime — the
   // same path RunImputationComparison takes, with the knobs exposed.
   StreamEvalOptions options;
-  options.num_threads = config.num_threads;
   options.pattern_storage = config.pattern_storage;
-  options.workers = static_cast<size_t>(flags.GetInt("workers", 0));
+  options.workers = static_cast<size_t>(flags.GetInt(
+      "workers", static_cast<int64_t>(config.num_threads)));
   options.pipeline_depth =
       static_cast<size_t>(flags.GetInt("pipeline-depth", 2));
   options.window = static_cast<size_t>(flags.GetInt("window", 1));

@@ -28,8 +28,8 @@
 //
 // --workers/--pipeline-depth/--window configure the sharded streaming
 // runtime behind the comparison (eval/stream_pipeline.hpp): persistent
-// slab-owning workers, ingest/compute overlap at depth >= 2, and batched
-// ingest. All three change wall-clock shape only — scores are bitwise
+// slab-owning workers (default: --num_threads), ingest/compute overlap at
+// depth >= 2, and batched ingest. All three change wall-clock shape only — scores are bitwise
 // identical at every setting.
 //
 // --scenario replaces the plain element-wise corruption with one of the
@@ -152,9 +152,9 @@ int main(int argc, char** argv) {
   options.max_eval_entries =
       static_cast<size_t>(flags.GetInt("eval_cap", 1024));
   options.force_dense = flags.GetBool("force_dense", false);
-  options.num_threads = num_threads;
   options.pattern_storage = storage;
-  options.workers = static_cast<size_t>(flags.GetInt("workers", 0));
+  options.workers = static_cast<size_t>(
+      flags.GetInt("workers", static_cast<int64_t>(num_threads)));
   options.pipeline_depth =
       static_cast<size_t>(flags.GetInt("pipeline-depth", 1));
   options.window = static_cast<size_t>(flags.GetInt("window", 1));

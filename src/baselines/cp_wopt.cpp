@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "baselines/observed_sweep.hpp"
@@ -11,8 +12,8 @@
 #include "tensor/kruskal.hpp"
 #include "tensor/sparse_kernels.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
+#include "util/shard_executor.hpp"
 
 namespace sofia {
 
@@ -53,9 +54,9 @@ std::vector<Matrix> Unpack(const std::vector<double>& x, const Shape& shape,
 
 /// Observed-entry loss: 0.5 ||Ω ⊛ (Y - [[U]])||_F^2 over the COO records.
 double CooLoss(const CooList& coo, const std::vector<double>& values,
-               const std::vector<Matrix>& factors, size_t num_threads,
+               const std::vector<Matrix>& factors,
                WorkerPool* pool = nullptr) {
-  return 0.5 * CooResidualSquaredNorm(coo, values, factors, num_threads, pool);
+  return 0.5 * CooResidualSquaredNorm(coo, values, factors, pool);
 }
 
 /// Observed-entry gradient. Each record contributes to one row of every
@@ -66,7 +67,6 @@ double CooLoss(const CooList& coo, const std::vector<double>& values,
 std::vector<Matrix> CooGradient(const CooList& coo,
                                 const std::vector<double>& values,
                                 const std::vector<Matrix>& factors,
-                                size_t num_threads,
                                 WorkerPool* pool = nullptr) {
   constexpr size_t kRecordsPerTask = 4096;
   constexpr size_t kMaxTasks = 16;
@@ -84,7 +84,7 @@ std::vector<Matrix> CooGradient(const CooList& coo,
   };
   std::vector<std::vector<Matrix>> partial(tasks);
 
-  RunTasks(pool, num_threads, tasks, [&](size_t task) {
+  RunTasks(pool, tasks, [&](size_t task) {
     const size_t begin = task * nnz / tasks;
     const size_t end = (task + 1) * nnz / tasks;
     std::vector<Matrix> grads = zero_grads();
@@ -145,16 +145,16 @@ class CpWoptObjective : public Objective {
                  : MakeSharedPattern(omega, /*with_mode_buckets=*/false)),
         values_(coo_->Gather(y)),
         rank_(rank),
-        pool_(ResolveNumThreads(num_threads)) {}
+        pool_(MakeShardExecutor(num_threads)) {}
 
   double Value(const std::vector<double>& x) const override {
-    return CooLoss(*coo_, values_, Unpack(x, shape_, rank_), 1, &pool_);
+    return CooLoss(*coo_, values_, Unpack(x, shape_, rank_), pool_.get());
   }
 
   void Gradient(const std::vector<double>& x,
                 std::vector<double>* grad) const override {
     std::vector<Matrix> g =
-        CooGradient(*coo_, values_, Unpack(x, shape_, rank_), 1, &pool_);
+        CooGradient(*coo_, values_, Unpack(x, shape_, rank_), pool_.get());
     *grad = Pack(g);
   }
 
@@ -165,20 +165,20 @@ class CpWoptObjective : public Objective {
   size_t rank_;
   // One pool for the whole quasi-Newton run: every iterate issues a Value
   // and a Gradient call, so workers are spawned once, not per evaluation.
-  mutable ThreadPool pool_;
+  std::unique_ptr<ShardExecutor> pool_;
 };
 
 }  // namespace
 
 double CpWoptLoss(const CooList& coo, const std::vector<double>& values,
                   const std::vector<Matrix>& factors) {
-  return CooLoss(coo, values, factors, 1);
+  return CooLoss(coo, values, factors);
 }
 
 std::vector<Matrix> CpWoptGradient(const CooList& coo,
                                    const std::vector<double>& values,
                                    const std::vector<Matrix>& factors) {
-  return CooGradient(coo, values, factors, 1);
+  return CooGradient(coo, values, factors);
 }
 
 double CpWoptLoss(const DenseTensor& y, const Mask& omega,

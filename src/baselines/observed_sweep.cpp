@@ -60,9 +60,9 @@ NormalSystem ObservedSweep::TemporalSystem(
     const std::vector<Matrix>& factors,
     const std::vector<double>& vals) const {
   if (csf_ != nullptr) {
-    return CsfNormalSystem(*csf_, vals, factors, /*num_threads=*/1, Pool());
+    return CsfNormalSystem(*csf_, vals, factors, Pool());
   }
-  return CooNormalSystem(pattern(), vals, factors, /*num_threads=*/1, Pool());
+  return CooNormalSystem(pattern(), vals, factors, Pool());
 }
 
 std::vector<double> ObservedSweep::SolveTemporalRow(
@@ -77,11 +77,9 @@ RowSystems ObservedSweep::WeightedRowSystems(
     const std::vector<Matrix>& factors, const std::vector<double>& w,
     const std::vector<double>& vals, size_t mode) const {
   if (csf_ != nullptr) {
-    return CsfWeightedRowSystems(*csf_, vals, factors, w, mode,
-                                 /*num_threads=*/1, Pool());
+    return CsfWeightedRowSystems(*csf_, vals, factors, w, mode, Pool());
   }
-  return CooWeightedRowSystems(pattern(), vals, factors, w, mode,
-                               /*num_threads=*/1, Pool());
+  return CooWeightedRowSystems(pattern(), vals, factors, w, mode, Pool());
 }
 
 void ObservedSweep::ProximalRowSweep(const std::vector<Matrix>& factors,
@@ -91,36 +89,35 @@ void ObservedSweep::ProximalRowSweep(const std::vector<Matrix>& factors,
                                      double mu, Matrix* u) const {
   if (csf_ != nullptr) {
     CsfProximalRowUpdates(*csf_, vals, factors, w, mode, previous, mu, u,
-                          /*num_threads=*/1, Pool());
+                          Pool());
     return;
   }
   CooProximalRowUpdates(pattern(), vals, factors, w, mode, previous, mu, u,
-                        /*num_threads=*/1, Pool());
+                        Pool());
 }
 
 ModeGradients ObservedSweep::Gradients(
     const std::vector<Matrix>& factors, const std::vector<double>& w,
     const std::vector<double>& residuals, bool with_traces) const {
   if (csf_ != nullptr) {
-    return CsfModeGradients(*csf_, residuals, factors, w, /*num_threads=*/1,
-                            Pool(), with_traces);
+    return CsfModeGradients(*csf_, residuals, factors, w, Pool(), with_traces);
   }
-  return CooModeGradients(pattern(), residuals, factors, w, /*num_threads=*/1,
-                          Pool(), with_traces);
+  return CooModeGradients(pattern(), residuals, factors, w, Pool(),
+                          with_traces);
 }
 
 std::vector<double> ObservedSweep::Reconstruct(
     const std::vector<Matrix>& factors, const std::vector<double>& w) const {
   if (csf_ != nullptr) {
-    return CsfKruskalGather(*csf_, factors, w, /*num_threads=*/1, Pool());
+    return CsfKruskalGather(*csf_, factors, w, Pool());
   }
-  return CooKruskalGather(pattern(), factors, w, /*num_threads=*/1, Pool());
+  return CooKruskalGather(pattern(), factors, w, Pool());
 }
 
 const std::vector<double>& ObservedSweep::SliceReconstruct(
     const std::vector<Matrix>& factors, const std::vector<double>& w) const {
   CooKruskalSliceGather(pattern(), factors, w, &slice_gather_scratch_,
-                        /*num_threads=*/1, Pool());
+                        Pool());
   return slice_gather_scratch_;
 }
 

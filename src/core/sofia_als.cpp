@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <memory>
 
 #include "linalg/solve.hpp"
 #include "linalg/vector_ops.hpp"
 #include "tensor/kruskal.hpp"
 #include "tensor/sparse_kernels.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
+#include "util/shard_executor.hpp"
 
 namespace sofia {
 
@@ -183,12 +184,13 @@ SofiaAlsResult SofiaAls(const CooList& coo, const DenseTensor& y,
   const std::vector<double> ystar = coo.GatherResidual(y, o);
   // One pool for the whole run: a sweep issues N+2 kernel calls and there
   // can be hundreds of sweeps, so workers are spawned once, not per call.
-  ThreadPool pool(ResolveNumThreads(config.num_threads));
+  const std::unique_ptr<ShardExecutor> pool =
+      MakeShardExecutor(config.num_threads);
   auto accumulate = [&](size_t mode) {
-    return CooRowSystems(coo, ystar, *factors, mode, 1, &pool);
+    return CooRowSystems(coo, ystar, *factors, mode, pool.get());
   };
   auto residual = [&]() {
-    return CooResidualNorm(coo, ystar, *factors, 1, &pool);
+    return CooResidualNorm(coo, ystar, *factors, pool.get());
   };
   return SofiaAlsLoop(accumulate, residual, CooDataNorm(ystar), config,
                       factors, smooth_temporal);

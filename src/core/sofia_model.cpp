@@ -112,8 +112,8 @@ SofiaModel SofiaModel::Initialize(const std::vector<DenseTensor>& slices,
 WorkerPool* SofiaModel::StepPool() {
   if (external_pool_ != nullptr) return external_pool_.get();
   if (!pool_) {
-    // ShardExecutor, not ThreadPool: standalone Step() loops then keep
-    // stable slab ownership (and arena scratch) across steps too.
+    // Built even for one thread: standalone Step() loops then keep stable
+    // slab ownership and allocation-free arena scratch across steps.
     pool_ = std::make_unique<ShardExecutor>(
         ResolveNumThreads(config_.num_threads));
   }
@@ -218,8 +218,8 @@ void SofiaModel::AccumulateSparse(const DenseTensor& y, const Mask& omega,
   // Line 4 restricted to Ω_t: the Eq. (20) forecast at observed entries.
   std::vector<double> yv = coo.Gather(y);
   std::vector<double> fv =
-      csf != nullptr ? CsfKruskalGather(*csf, factors_, u_hat, 1, pool)
-                     : CooKruskalGather(coo, factors_, u_hat, 1, pool);
+      csf != nullptr ? CsfKruskalGather(*csf, factors_, u_hat, pool)
+                     : CooKruskalGather(coo, factors_, u_hat, pool);
 
   // Lines 5-6 per record (entries are independent, so the ablation ordering
   // applies record-wise exactly as in the dense reference).
@@ -251,8 +251,8 @@ void SofiaModel::AccumulateSparse(const DenseTensor& y, const Mask& omega,
   std::vector<double> resid(nnz);
   for (size_t k = 0; k < nnz; ++k) resid[k] = yv[k] - ov[k] - fv[k];
   *grads = csf != nullptr
-               ? CsfStepGradients(*csf, resid, factors_, u_hat, 1, pool)
-               : CooStepGradients(coo, resid, factors_, u_hat, 1, pool);
+               ? CsfStepGradients(*csf, resid, factors_, u_hat, pool)
+               : CooStepGradients(coo, resid, factors_, u_hat, pool);
 
   result->factors_before_ = factors_;
   result->observed_ = coo.LinearIndices();

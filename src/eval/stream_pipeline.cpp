@@ -71,12 +71,11 @@ StreamPipeline::StreamPipeline(const CorruptedStream& stream,
   SOFIA_CHECK_EQ(stream_.slices.size(), truth_.size());
   if (options_.pipeline_depth == 0) options_.pipeline_depth = 1;
   if (options_.window == 0) options_.window = 1;
-  const size_t workers = ResolveNumThreads(
-      options_.workers != 0 ? options_.workers : options_.num_threads);
   ring_.resize(options_.pipeline_depth);
   for (std::vector<SliceIngest>& slot : ring_) slot.resize(options_.window);
   tickets_.assign(options_.pipeline_depth, 0);
-  executor_ = std::make_unique<ShardExecutor>(workers);
+  executor_ =
+      std::make_unique<ShardExecutor>(ResolveNumThreads(options_.workers));
 }
 
 StreamPipeline::~StreamPipeline() {

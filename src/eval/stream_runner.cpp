@@ -162,9 +162,9 @@ std::vector<MethodRunResult> RunImputationComparison(
     const CorruptedStream& stream, const std::vector<DenseTensor>& truth,
     const StreamEvalOptions& options) {
   // The comparison protocol is now a configuration of the sharded
-  // streaming runtime: default knobs (workers = num_threads, depth 1,
-  // window 1) reproduce the former sequential loop exactly — same scores,
-  // same telemetry — while --workers/--pipeline-depth/--window open the
+  // streaming runtime: default knobs (1 worker, depth 1, window 1)
+  // reproduce the former sequential loop exactly — same scores, same
+  // telemetry — while --workers/--pipeline-depth/--window open the
   // persistent-shard and ingest-overlap paths.
   return RunStreamPipeline(methods, stream, truth, options);
 }

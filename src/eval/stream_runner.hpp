@@ -40,11 +40,6 @@ struct StreamEvalOptions {
   /// subset of that size is scored instead (the OLSTEC-style sampled
   /// evaluation). 0 scores every missing entry.
   size_t max_eval_entries = 1024;
-  /// Size of the one shared kernel worker pool of a comparison run (0 =
-  /// hardware concurrency), offered to every method via AdoptWorkerPool and
-  /// used for the scoring gathers. Results are bitwise identical for every
-  /// setting.
-  size_t num_threads = 1;
   /// Storage backend broadcast to every method: kCsf compiles each shared
   /// per-step pattern into CSF fiber trees (once per distinct mask, outside
   /// the per-method timers) and attaches them to the shared CooList, so
@@ -57,10 +52,11 @@ struct StreamEvalOptions {
   // Streaming-runtime knobs (eval/stream_pipeline.hpp). Scores are bitwise
   // identical for every (workers, pipeline_depth, window) combination —
   // these trade wall-clock shape only (tests/stream_pipeline_test.cc).
-  /// Workers of the persistent ShardExecutor driving kernels + gathers
-  /// (0 = fall back to num_threads). Each worker owns a stable contiguous
-  /// root-slab range of every CSF tree across the whole run.
-  size_t workers = 0;
+  /// Size of the run's one shared worker pool (0 = hardware concurrency):
+  /// the persistent ShardExecutor offered to every method via
+  /// AdoptWorkerPool and driving the scoring gathers. Each worker owns a
+  /// stable contiguous root-slab range of every CSF tree across the run.
+  size_t workers = 1;
   /// Ingest ring depth: 1 runs slice ingest (pattern compare/build,
   /// CSF delta, eval-pattern sampling, truth gathers) synchronously before
   /// each compute window; 2+ runs it on the executor's aux lane up to
@@ -183,7 +179,7 @@ struct MethodRunResult {
 ///    scored by gathering the estimate at the observed and held-out
 ///    patterns: per-step NRE over observed, held-out, and their union, with
 ///    zero full-volume reconstructions on the lazy path;
-///  - one shared worker pool (options.num_threads) is adopted by every
+///  - one shared worker pool (options.workers) is adopted by every
 ///    method and drives the scoring gathers, instead of one lazily spawned
 ///    pool per method;
 ///  - methods with an init window are initialized on their own window

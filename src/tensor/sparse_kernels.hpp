@@ -17,9 +17,10 @@
 /// only the |Ω| records of a prebuilt CooList instead of rescanning the full
 /// dense index space once per mode per sweep. All of them parallelize over
 /// disjoint work units (mode slices, or fixed-size record blocks for the
-/// reductions) so results are bitwise identical for every `num_threads`:
-/// only the assignment of units to threads varies, never the accumulation
-/// order within a unit or the order units are combined in.
+/// reductions) so results are bitwise identical for every `pool` size (a
+/// null pool runs the units serially): only the assignment of units to
+/// threads varies, never the accumulation order within a unit or the order
+/// units are combined in.
 ///
 /// `values` arguments are record-aligned (see CooList::Gather); passing the
 /// gathered y* = y - o of Theorem 1 yields the paper's robust updates.
@@ -56,18 +57,17 @@ struct ModeGradients {
 /// values[k] * h_k for every record k in mode-`mode` slice i. Equals
 /// MaskedMttkrp on the dense pair the CooList was built from. Requires a
 /// CooList built with mode buckets. Callers issuing many kernel calls pass
-/// a long-lived `pool` (which overrides `num_threads`) to avoid re-spawning
-/// workers per call.
+/// one long-lived `pool` to avoid re-spawning workers per call.
 Matrix CooMttkrp(const CooList& coo, const std::vector<double>& values,
                  const std::vector<Matrix>& factors, size_t mode,
-                 size_t num_threads = 1, WorkerPool* pool = nullptr);
+                 WorkerPool* pool = nullptr);
 
 /// Accumulate the Theorem-1 row systems for `mode` from observed entries.
 /// The rank-1 updates touch only the upper triangle of each B and mirror it
 /// once per row at the end. Requires a CooList built with mode buckets.
 RowSystems CooRowSystems(const CooList& coo, const std::vector<double>& values,
                          const std::vector<Matrix>& factors, size_t mode,
-                         size_t num_threads = 1, WorkerPool* pool = nullptr);
+                         WorkerPool* pool = nullptr);
 
 /// Accumulate the slice-global temporal normal equations from observed
 /// entries: h_k is the Hadamard product over *all* modes' factor rows at
@@ -80,7 +80,7 @@ RowSystems CooRowSystems(const CooList& coo, const std::vector<double>& values,
 NormalSystem CooNormalSystem(const CooList& coo,
                              const std::vector<double>& values,
                              const std::vector<Matrix>& factors,
-                             size_t num_threads = 1, WorkerPool* pool = nullptr);
+                             WorkerPool* pool = nullptr);
 
 /// CooRowSystems with the temporal weight folded into the regressor:
 /// h = temporal_row ⊛ (⊛_{l != mode} u^(l)_{i_l}) — the per-row systems of
@@ -90,8 +90,7 @@ RowSystems CooWeightedRowSystems(const CooList& coo,
                                  const std::vector<double>& values,
                                  const std::vector<Matrix>& factors,
                                  const std::vector<double>& temporal_row,
-                                 size_t mode, size_t num_threads = 1,
-                                 WorkerPool* pool = nullptr);
+                                 size_t mode, WorkerPool* pool = nullptr);
 
 /// Fused CooWeightedRowSystems + proximal row solve: for every row i of
 /// `mode`, accumulate B_i = Σ h h^T and c_i = Σ vals h from the row's
@@ -108,8 +107,7 @@ void CooProximalRowUpdates(const CooList& coo,
                            const std::vector<Matrix>& factors,
                            const std::vector<double>& temporal_row,
                            size_t mode, const Matrix& previous, double mu,
-                           Matrix* u, size_t num_threads = 1,
-                           WorkerPool* pool = nullptr);
+                           Matrix* u, WorkerPool* pool = nullptr);
 
 /// Accumulate every mode's gradient rows and curvature traces from
 /// record-aligned residuals: grow[r] += residuals[k] * h_r and
@@ -123,7 +121,6 @@ ModeGradients CooModeGradients(const CooList& coo,
                                const std::vector<double>& residuals,
                                const std::vector<Matrix>& factors,
                                const std::vector<double>& temporal_row,
-                               size_t num_threads = 1,
                                WorkerPool* pool = nullptr,
                                bool with_traces = true);
 
@@ -132,13 +129,12 @@ ModeGradients CooModeGradients(const CooList& coo,
 double CooResidualSquaredNorm(const CooList& coo,
                               const std::vector<double>& values,
                               const std::vector<Matrix>& factors,
-                              size_t num_threads = 1,
                               WorkerPool* pool = nullptr);
 
 /// sqrt(CooResidualSquaredNorm(...)).
 double CooResidualNorm(const CooList& coo, const std::vector<double>& values,
                        const std::vector<Matrix>& factors,
-                       size_t num_threads = 1, WorkerPool* pool = nullptr);
+                       WorkerPool* pool = nullptr);
 
 /// Gather of the Kruskal slice [[{factors}; temporal_row]] at the observed
 /// entries: out[k] = sum_r temporal_row[r] * prod_l factors[l](i_l, r) for
@@ -148,7 +144,6 @@ double CooResidualNorm(const CooList& coo, const std::vector<double>& values,
 std::vector<double> CooKruskalGather(const CooList& coo,
                                      const std::vector<Matrix>& factors,
                                      const std::vector<double>& temporal_row,
-                                     size_t num_threads = 1,
                                      WorkerPool* pool = nullptr);
 
 /// CooKruskalGather variant that replicates the KruskalSlice (Khatri-Rao
@@ -159,7 +154,6 @@ std::vector<double> CooKruskalGather(const CooList& coo,
 std::vector<double> CooKruskalSliceGather(const CooList& coo,
                                           const std::vector<Matrix>& factors,
                                           const std::vector<double>& temporal_row,
-                                          size_t num_threads = 1,
                                           WorkerPool* pool = nullptr);
 
 /// CooKruskalSliceGather into a caller-owned buffer (resized to nnz): hot
@@ -169,7 +163,7 @@ std::vector<double> CooKruskalSliceGather(const CooList& coo,
 void CooKruskalSliceGather(const CooList& coo,
                            const std::vector<Matrix>& factors,
                            const std::vector<double>& temporal_row,
-                           std::vector<double>* out, size_t num_threads = 1,
+                           std::vector<double>* out,
                            WorkerPool* pool = nullptr);
 
 /// Everything the dynamic update (Algorithm 3 lines 7-9) accumulates over
@@ -195,7 +189,6 @@ StepGradients CooStepGradients(const CooList& coo,
                                const std::vector<double>& residuals,
                                const std::vector<Matrix>& factors,
                                const std::vector<double>& temporal_row,
-                               size_t num_threads = 1,
                                WorkerPool* pool = nullptr);
 
 /// Dense-scan reference for CooStepGradients (and the fallback selected by

@@ -48,8 +48,15 @@ double* ScratchArena::RawDoubles(size_t slot, size_t count) {
 
 double* ScratchArena::Doubles(size_t slot, size_t count) {
   double* ptr = RawDoubles(slot, count);
-  std::memset(ptr, 0, count * sizeof(double));
+  // A fresh slot asked for zero doubles has no storage yet (ptr is null),
+  // and memset on a null pointer is undefined even for zero bytes.
+  if (count != 0) std::memset(ptr, 0, count * sizeof(double));
   return ptr;
+}
+
+std::unique_ptr<ShardExecutor> MakeShardExecutor(size_t num_threads) {
+  const size_t n = ResolveNumThreads(num_threads);
+  return n > 1 ? std::make_unique<ShardExecutor>(n) : nullptr;
 }
 
 ShardExecutor::ShardExecutor(size_t num_threads) {

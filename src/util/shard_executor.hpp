@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -16,12 +17,11 @@
 /// \file shard_executor.hpp
 /// \brief Persistent sharded worker runtime with stable task ownership.
 ///
-/// The streaming step loop calls the same kernels on the same CSF fiber
-/// trees hundreds of times. ThreadPool's dynamic task claiming re-rolls the
-/// task-to-thread mapping every call, so a worker's cache lines migrate
-/// between cores step to step. ShardExecutor instead assigns tasks by a
-/// *static contiguous block partition* that depends only on (num_tasks,
-/// num_threads): worker w always executes the same contiguous task range.
+/// The library's one WorkerPool implementation. The streaming step loop
+/// calls the same kernels on the same CSF fiber trees hundreds of times, so
+/// ShardExecutor assigns tasks by a *static contiguous block partition*
+/// that depends only on (num_tasks, num_threads): worker w always executes
+/// the same contiguous task range.
 /// Because kernel tasks are keyed to CSF root slabs, each worker re-touches
 /// the same slab range of every fiber tree across an entire stream — its
 /// private-cache working set stays warm. Results are bitwise identical to
@@ -126,8 +126,8 @@ class ShardExecutor : public WorkerPool {
   std::vector<std::thread> workers_;
   ScratchArena caller_arena_;
 
-  // Compute-lane batch state (same protocol as ThreadPool, minus the
-  // claiming counter: each worker's range is fixed by the partition).
+  // Compute-lane batch state: a generation counter wakes the workers, and
+  // each worker's task range is fixed by the partition.
   std::mutex mutex_;
   std::condition_variable work_ready_;
   std::condition_variable batch_done_;
@@ -149,6 +149,11 @@ class ShardExecutor : public WorkerPool {
   uint64_t aux_submitted_ = 0;
   uint64_t aux_completed_ = 0;
 };
+
+/// The pool a `num_threads` knob asks for: a ShardExecutor of
+/// ResolveNumThreads(num_threads) threads, or nullptr when that resolves to
+/// one thread, so kernels keep their serial loop and call-local scratch.
+std::unique_ptr<ShardExecutor> MakeShardExecutor(size_t num_threads);
 
 }  // namespace sofia
 

@@ -106,6 +106,29 @@ TEST(CpWoptTest, SharedPatternRunMatchesInternalBuild) {
   EXPECT_EQ(diff.MaxAbs(), 0.0);
 }
 
+// The loss and gradient run on a ShardExecutor when num_threads > 1. With
+// more than 4096 observed entries the gradient splits into several record
+// ranges; the quasi-Newton run must be bitwise the serial one.
+TEST(CpWoptTest, BitwiseIdenticalAcrossThreadCounts) {
+  SyntheticTensor syn = MakeSinusoidTensor(20, 20, 20, 2, 5, 61);
+  Mask omega(syn.tensor.shape(), true);
+  Rng rng(62);
+  for (size_t k = 0; k < omega.shape().NumElements(); ++k) {
+    if (rng.Bernoulli(0.3)) omega.Set(k, false);
+  }
+  CpWoptOptions options{.rank = 2, .max_iterations = 25, .seed = 63};
+  options.num_threads = 1;
+  const CpWoptResult serial = CpWopt(syn.tensor, omega, options);
+  options.num_threads = 3;
+  const CpWoptResult pooled = CpWopt(syn.tensor, omega, options);
+  EXPECT_EQ(pooled.loss, serial.loss);
+  EXPECT_EQ(pooled.iterations, serial.iterations);
+  for (size_t n = 0; n < serial.factors.size(); ++n) {
+    EXPECT_EQ(pooled.factors[n].MaxAbsDiff(serial.factors[n]), 0.0)
+        << "mode=" << n;
+  }
+}
+
 TEST(CpWoptTest, LossDecreasesFromRandomStart) {
   SyntheticTensor syn = MakeSinusoidTensor(5, 4, 12, 2, 4, 51);
   Mask omega(syn.tensor.shape(), true);

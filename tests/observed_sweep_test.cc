@@ -15,6 +15,7 @@
 #include "tensor/kruskal.hpp"
 #include "tensor/sparse_kernels.hpp"
 #include "util/rng.hpp"
+#include "util/shard_executor.hpp"
 
 namespace sofia {
 namespace {
@@ -191,10 +192,10 @@ TEST(ObservedSweepKernelsTest, ProximalRowUpdatesMatchMaterializedSystems) {
                             &factors[mode]);
       EXPECT_EQ(factors[mode].MaxAbsDiff(expected), 0.0)
           << "mode=" << mode << " mu=" << mu;
-      ThreadPool pool(3);
+      ShardExecutor pool(3);
       std::vector<Matrix> pooled = p.factors;
       CooProximalRowUpdates(coo, values, pooled, p.w, mode, previous, mu,
-                            &pooled[mode], 1, &pool);
+                            &pooled[mode], &pool);
       EXPECT_EQ(pooled[mode].MaxAbsDiff(expected), 0.0);
     }
   }
@@ -204,11 +205,11 @@ TEST(ObservedSweepKernelsTest, KernelsAreBitwiseThreadDeterministic) {
   Problem p = MakeProblem(Shape({9, 8, 7}), 5, 0.6, 27);
   CooList coo = CooList::Build(p.omega);
   std::vector<double> values = coo.Gather(p.y);
-  ThreadPool pool(4);
+  ShardExecutor pool(4);
 
   NormalSystem serial_sys = CooNormalSystem(coo, values, p.factors);
   NormalSystem pooled_sys =
-      CooNormalSystem(coo, values, p.factors, 1, &pool);
+      CooNormalSystem(coo, values, p.factors, &pool);
   EXPECT_EQ(serial_sys.b.MaxAbsDiff(pooled_sys.b), 0.0);
   EXPECT_EQ(MaxAbsDiffVec(serial_sys.c, pooled_sys.c), 0.0);
 
@@ -216,7 +217,7 @@ TEST(ObservedSweepKernelsTest, KernelsAreBitwiseThreadDeterministic) {
     RowSystems serial =
         CooWeightedRowSystems(coo, values, p.factors, p.w, mode);
     RowSystems pooled =
-        CooWeightedRowSystems(coo, values, p.factors, p.w, mode, 1, &pool);
+        CooWeightedRowSystems(coo, values, p.factors, p.w, mode, &pool);
     for (size_t i = 0; i < serial.b.size(); ++i) {
       EXPECT_EQ(serial.b[i].MaxAbsDiff(pooled.b[i]), 0.0);
       EXPECT_EQ(MaxAbsDiffVec(serial.c[i], pooled.c[i]), 0.0);
@@ -225,7 +226,7 @@ TEST(ObservedSweepKernelsTest, KernelsAreBitwiseThreadDeterministic) {
 
   ModeGradients serial_g = CooModeGradients(coo, values, p.factors, p.w);
   ModeGradients pooled_g =
-      CooModeGradients(coo, values, p.factors, p.w, 1, &pool);
+      CooModeGradients(coo, values, p.factors, p.w, &pool);
   for (size_t l = 0; l < serial_g.row_grads.size(); ++l) {
     EXPECT_EQ(serial_g.row_grads[l].MaxAbsDiff(pooled_g.row_grads[l]), 0.0);
     EXPECT_EQ(MaxAbsDiffVec(serial_g.row_trace[l], pooled_g.row_trace[l]),

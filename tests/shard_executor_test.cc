@@ -150,6 +150,11 @@ TEST(ScratchArenaTest, DoublesZeroFillsAndRawPreserves) {
   // Zeroing re-request wipes them again.
   double* c = arena.Doubles(0, 8);
   for (size_t i = 0; i < 8; ++i) EXPECT_EQ(c[i], 0.0);
+  // A fresh slot asked for zero doubles (an all-missing slice) has no
+  // storage to fill; the request must still succeed without growing it.
+  const uint64_t growth = arena.growth_events();
+  arena.Doubles(3, 0);
+  EXPECT_EQ(arena.growth_events(), growth);
 }
 
 TEST(ShardExecutorTest, AuxJobsRunInSubmissionOrder) {

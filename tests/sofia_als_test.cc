@@ -259,5 +259,45 @@ TEST(SofiaAlsTest, OutlierTensorIsSubtractedFromData) {
   EXPECT_LT(NormalizedResidualError(res.completed, p.truth), 0.05);
 }
 
+// SofiaAls runs its kernels on a ShardExecutor when num_threads > 1. The
+// tensor is large enough for two reduction blocks and for every mode's rows
+// to split across workers; the fit must be bitwise the serial one.
+TEST(SofiaAlsTest, BitwiseIdenticalAcrossThreadCounts) {
+  SyntheticTensor syn = MakeSinusoidTensor(24, 20, 16, 2, 4, 19);
+  Mask omega(syn.tensor.shape(), true);
+  Rng rng(20);
+  for (size_t k = 0; k < omega.shape().NumElements(); ++k) {
+    if (!rng.Bernoulli(0.7)) omega.Set(k, false);
+  }
+  DenseTensor outliers = DenseTensor::RandomNormal(syn.tensor.shape(), rng,
+                                                   0.1);
+  SofiaConfig config;
+  config.rank = 2;
+  config.period = 4;
+  config.max_als_iterations = 15;
+  config.tolerance = 0.0;
+  std::vector<Matrix> init;
+  for (size_t n = 0; n < syn.tensor.order(); ++n) {
+    init.push_back(Matrix::Random(syn.tensor.dim(n), 2, rng, 0.0, 1.0));
+  }
+
+  config.num_threads = 1;
+  std::vector<Matrix> serial = init;
+  const SofiaAlsResult ref =
+      SofiaAls(syn.tensor, omega, outliers, config, &serial);
+  for (size_t threads : {size_t{2}, size_t{4}}) {
+    config.num_threads = threads;
+    std::vector<Matrix> pooled = init;
+    const SofiaAlsResult got =
+        SofiaAls(syn.tensor, omega, outliers, config, &pooled);
+    EXPECT_EQ(got.fitness, ref.fitness) << "threads=" << threads;
+    EXPECT_EQ(got.sweeps, ref.sweeps);
+    for (size_t n = 0; n < serial.size(); ++n) {
+      EXPECT_EQ(pooled[n].MaxAbsDiff(serial[n]), 0.0)
+          << "threads=" << threads << " mode=" << n;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sofia

@@ -102,6 +102,28 @@ TEST(SofiaInitTest, SmoothInitBeatsVanillaAlsUnderHeavyCorruption) {
   EXPECT_LT(nre_smooth, nre_vanilla);
 }
 
+// Initialization inherits SofiaAls's pool: factors and the outlier tensor
+// are bitwise the serial run's at every thread count.
+TEST(SofiaInitTest, BitwiseIdenticalAcrossThreadCounts) {
+  InitProblem p = MakeInitProblem({30.0, 10.0, 3.0}, 31);
+  p.config.num_threads = 1;
+  const SofiaInitResult ref =
+      SofiaInitialize(p.corrupted.slices, p.corrupted.masks, p.config);
+  for (size_t threads : {size_t{2}, size_t{4}}) {
+    p.config.num_threads = threads;
+    const SofiaInitResult got =
+        SofiaInitialize(p.corrupted.slices, p.corrupted.masks, p.config);
+    EXPECT_EQ(got.outer_iterations, ref.outer_iterations);
+    for (size_t n = 0; n < ref.factors.size(); ++n) {
+      EXPECT_EQ(got.factors[n].MaxAbsDiff(ref.factors[n]), 0.0)
+          << "threads=" << threads << " mode=" << n;
+    }
+    DenseTensor diff = got.outliers;
+    diff -= ref.outliers;
+    EXPECT_EQ(diff.MaxAbs(), 0.0) << "threads=" << threads;
+  }
+}
+
 TEST(SofiaInitTest, RejectsWrongSliceCount) {
   InitProblem p = MakeInitProblem({0.0, 0.0, 0.0}, 29);
   p.corrupted.slices.pop_back();

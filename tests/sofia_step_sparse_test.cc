@@ -9,6 +9,7 @@
 #include "tensor/kruskal.hpp"
 #include "tensor/sparse_kernels.hpp"
 #include "util/rng.hpp"
+#include "util/shard_executor.hpp"
 
 namespace sofia {
 namespace {
@@ -193,6 +194,7 @@ TEST(SofiaStepSparseTest, StepBitwiseDeterministicAcrossThreadCounts) {
 /// at several densities and orders, plus thread determinism.
 TEST(SofiaStepSparseTest, CooStepGradientsMatchDenseReference) {
   Rng rng(571);
+  ShardExecutor pool(4);
   for (const auto& dims : {std::vector<size_t>{7, 5},
                            std::vector<size_t>{4, 3, 5}}) {
     Shape shape(dims);
@@ -216,10 +218,9 @@ TEST(SofiaStepSparseTest, CooStepGradientsMatchDenseReference) {
         const size_t lin = coo.LinearIndex(k);
         resid[k] = y[lin] - o[lin] - forecast[lin];
       }
-      StepGradients sparse =
-          CooStepGradients(coo, resid, factors, u_hat, /*num_threads=*/1);
+      StepGradients sparse = CooStepGradients(coo, resid, factors, u_hat);
       StepGradients threaded =
-          CooStepGradients(coo, resid, factors, u_hat, /*num_threads=*/4);
+          CooStepGradients(coo, resid, factors, u_hat, &pool);
 
       ASSERT_EQ(dense.row_grads.size(), sparse.row_grads.size());
       for (size_t n = 0; n < dense.row_grads.size(); ++n) {
@@ -257,7 +258,8 @@ TEST(SofiaStepSparseTest, CooKruskalGatherMatchesKruskalSlice) {
     EXPECT_NEAR(got[k], slice[coo.LinearIndex(k)],
                 kTol * (1.0 + std::fabs(got[k])));
   }
-  EXPECT_EQ(CooKruskalGather(coo, factors, u_hat, 4), got);
+  ShardExecutor pool(4);
+  EXPECT_EQ(CooKruskalGather(coo, factors, u_hat, &pool), got);
 }
 
 /// The mask-reuse fast path: consecutive steps with an identical mask (the
